@@ -47,6 +47,7 @@ from ..obs.core import Instrumentation, get_active
 __all__ = ["EsStatus", "EsResult", "EsAtpg"]
 
 _X = 2  # three-valued unknown
+_CONST = (GateType.CONST0, GateType.CONST1)  # indexed by stuck value
 
 
 class EsStatus(enum.Enum):
@@ -128,14 +129,19 @@ class EsAtpg:
         self.affected_outputs = self._find_affected_outputs()
         self.max_weight_sum: int = sum(self.weights[o] for o in self.affected_outputs)
 
-        # Restrict simulation and decisions to the relevant cones.
+        # Restrict simulation and decisions to the relevant cones; rank
+        # the support PIs by the weight of the affected outputs they reach.
+        inputs = set(good.inputs)
         relevant_good: Set[str] = set()
         relevant_faulty: Set[str] = set()
+        score: Dict[str, int] = {}
         for o in self.affected_outputs:
-            relevant_good |= transitive_fanin(good, o, include_self=True)
-            relevant_faulty |= transitive_fanin(
-                self.faulty, self._pair[o], include_self=True
-            )
+            cone_good = transitive_fanin(good, o, include_self=True)
+            cone_faulty = transitive_fanin(self.faulty, self._pair[o], include_self=True)
+            relevant_good |= cone_good
+            relevant_faulty |= cone_faulty
+            for pi in (inputs & cone_good) | (inputs & cone_faulty):
+                score[pi] = score.get(pi, 0) + self.weights[o]
         for f in self.faults:
             relevant_faulty |= transitive_fanin(
                 self.faulty, f.line.signal, include_self=True
@@ -146,12 +152,12 @@ class EsAtpg:
         self._faulty_schedule: List[str] = [
             n for n in self.faulty.topological_order() if n in relevant_faulty
         ]
-        support = {
-            pi
-            for pi in good.inputs
-            if pi in relevant_good or pi in relevant_faulty
-        }
-        self.support: Tuple[str, ...] = tuple(pi for pi in good.inputs if pi in support)
+        self.support: Tuple[str, ...] = tuple(
+            pi for pi in good.inputs if pi in relevant_good or pi in relevant_faulty
+        )
+        self._pi_rank: Tuple[str, ...] = tuple(
+            sorted(self.support, key=lambda p: -score.get(p, 0))
+        )
         self._stem_faults: Dict[str, int] = {}
         self._branch_faults: Dict[Tuple[str, int], int] = {}
         for f in self.faults:
@@ -159,6 +165,7 @@ class EsAtpg:
                 self._stem_faults[f.line.signal] = f.value
             else:
                 self._branch_faults[(f.line.gate, f.line.pin)] = f.value
+        self._lowered = False
 
     # ------------------------------------------------------------------
     # affected-output analysis
@@ -221,39 +228,75 @@ class EsAtpg:
         return tuple(affected)
 
     # ------------------------------------------------------------------
-    # dual three-valued simulation
+    # incremental dual three-valued simulation
     # ------------------------------------------------------------------
-    def _simulate(self, assign: Dict[str, int]) -> Tuple[Dict[str, int], Dict[str, int]]:
-        """Good and faulty three-valued values under a partial assignment."""
-        good: Dict[str, int] = {}
-        faulty: Dict[str, int] = {}
-        for pi in self.good.inputs:
-            v = assign.get(pi, _X)
-            good[pi] = v
-            faulty[pi] = self._stem_faults.get(pi, v)
-        for name in self._good_schedule:
-            g = self.good.gates[name]
-            good[name] = _eval3(g.gtype, [good[s] for s in g.inputs])
-        for name in self._faulty_schedule:
-            g = self.faulty.gates[name]
-            fins: List[int] = []
-            for pin, src in enumerate(g.inputs):
-                ov = self._branch_faults.get((name, pin))
-                fins.append(ov if ov is not None else faulty[src])
-            fvv = _eval3(g.gtype, fins)
-            sf = self._stem_faults.get(name)
-            if sf is not None:
-                fvv = sf
-            faulty[name] = fvv
-        return good, faulty
+    def _lower(self) -> None:
+        """Lower both machines to one integer-indexed node array.
 
-    def _bounds(self, good: Dict[str, int], faulty: Dict[str, int]) -> Tuple[int, int]:
+        Nodes 0 and 1 are the constants 0 and 1.  The good machine's PIs
+        and relevant gates follow in schedule order, then the faulty
+        machine's, so node indices are a topological order of both.
+        Faults are baked in: a stem-faulted PI or gate becomes a
+        constant node, and a faulted branch pin reads node 0 or 1
+        instead of its driver.  ``_vals`` holds every node's value under
+        the empty assignment; the search refines it in place and restores
+        it from a trail.
+        """
+        types: List[Optional[GateType]] = [GateType.CONST0, GateType.CONST1]
+        fanins: List[Tuple[int, ...]] = [(), ()]
+
+        def add_machine(
+            circuit: Circuit,
+            schedule: List[str],
+            stem: Dict[str, int],
+            branch: Dict[Tuple[str, int], int],
+        ) -> Dict[str, int]:
+            index: Dict[str, int] = {}
+            for name in list(circuit.inputs) + schedule:
+                index[name] = len(types)
+                sv = stem.get(name)
+                if sv is not None:
+                    types.append(_CONST[sv])
+                    fanins.append(())
+                elif name in circuit.gates:
+                    g = circuit.gates[name]
+                    types.append(g.gtype)
+                    fanins.append(tuple(
+                        branch.get((name, pin), index[src]) for pin, src in enumerate(g.inputs)
+                    ))
+                else:
+                    types.append(None)  # a free PI
+                    fanins.append(())
+            return index
+
+        good_ix = add_machine(self.good, self._good_schedule, {}, {})
+        faulty_ix = add_machine(
+            self.faulty, self._faulty_schedule, self._stem_faults, self._branch_faults
+        )
+        fanouts: List[List[int]] = [[] for _ in types]
+        vals: List[int] = []
+        for i, (gtype, ins) in enumerate(zip(types, fanins)):
+            for j in set(ins):
+                fanouts[j].append(i)
+            vals.append(_X if gtype is None else _eval3(gtype, [vals[j] for j in ins]))
+        self._types, self._fanins, self._fanouts, self._vals = types, fanins, fanouts, vals
+        self._pi_slots: Dict[str, Tuple[int, ...]] = {
+            pi: (good_ix[pi],) if pi in self._stem_faults else (good_ix[pi], faulty_ix[pi])
+            for pi in self.support
+        }
+        self._out_slots: List[Tuple[int, int, int]] = [
+            (self.weights[o], good_ix[o], faulty_ix[self._pair[o]])
+            for o in self.affected_outputs
+        ]
+        self._lowered = True
+
+    def _bounds(self) -> Tuple[int, int]:
         """Interval [Dmin, Dmax] of the weighted faulty-minus-good value."""
+        vals = self._vals
         dmin = 0
         dmax = 0
-        for o in self.affected_outputs:
-            w = self.weights[o]
-            g, f = good[o], faulty[self._pair[o]]
+        for w, gi, fi in self._out_slots:
+            g, f = vals[gi], vals[fi]
             if g != _X and f != _X:
                 d = w * (f - g)
                 dmin += d
@@ -275,35 +318,73 @@ class EsAtpg:
     def test_exists(self, threshold: int) -> EsResult:
         """Decide whether some vector yields ``|deviation| >= threshold``."""
         with self.obs.span("atpg.es_search"):
-            res = self._test_exists(threshold)
+            res, gate_evals = self._test_exists(threshold)
         obs = self.obs
         obs.incr("es_atpg.queries")
         obs.incr("es_atpg.nodes", res.nodes)
+        obs.incr("es_atpg.gate_evals", gate_evals)
         if res.status is EsStatus.ABORTED:
             obs.incr("es_atpg.aborts")
         return res
 
-    def _test_exists(self, threshold: int) -> EsResult:
+    def _test_exists(self, threshold: int) -> Tuple[EsResult, int]:
+        """The branch-&-bound search; also returns its gate evaluations."""
+        from heapq import heappop, heappush
+
         if threshold <= 0:
             raise ValueError("threshold must be positive")
         if not self.affected_outputs or self.max_weight_sum < threshold:
             # Structural refutation: not enough affected output weight.
-            return EsResult(EsStatus.UNSAT, None, None, 0)
-
+            return EsResult(EsStatus.UNSAT, None, None, 0), 0
+        if not self._lowered:
+            self._lower()
+        types, fanins, fanouts, vals = self._types, self._fanins, self._fanouts, self._vals
+        pi_slots = self._pi_slots
+        pi_rank = self._pi_rank
+        trail: List[Tuple[int, int]] = []  # (node, overwritten value)
         assign: Dict[str, int] = {}
         nodes = 0
-        pi_rank = self._pi_order()
+        gate_evals = 0
+
+        def put(i: int, value: int, heap: List[int], queued: Set[int]) -> None:
+            """Overwrite node ``i`` on the trail and queue its fanout."""
+            trail.append((i, vals[i]))
+            vals[i] = value
+            for j in fanouts[i]:
+                if j not in queued:
+                    queued.add(j)
+                    heappush(heap, j)
+
+        def imply(pi: str, value: int) -> None:
+            """Assign ``pi`` and re-evaluate its fanout in node order,
+            going no further where a value does not change."""
+            nonlocal gate_evals
+            heap: List[int] = []
+            queued: Set[int] = set()
+            for i in pi_slots[pi]:
+                put(i, value, heap, queued)
+            while heap:
+                i = heappop(heap)
+                gate_evals += 1
+                v = _eval3(types[i], [vals[j] for j in fanins[i]])
+                if v != vals[i]:
+                    put(i, v, heap, queued)
+
+        def undo(mark: int) -> None:
+            while len(trail) > mark:
+                i, old = trail.pop()
+                vals[i] = old
 
         def complete_vector() -> Dict[str, int]:
             return {pi: assign.get(pi, 0) for pi in self.good.inputs}
 
-        def search() -> Optional[EsResult]:
+        def search(depth: int) -> Optional[EsResult]:
+            # PIs are assigned in rank order, so pi_rank[:depth] is assigned.
             nonlocal nodes
             nodes += 1
             if nodes > self.node_limit:
                 return EsResult(EsStatus.ABORTED, None, None, nodes)
-            good, faulty = self._simulate(assign)
-            dmin, dmax = self._bounds(good, faulty)
+            dmin, dmax = self._bounds()
             if max(abs(dmin), abs(dmax)) < threshold:
                 return None  # bound: upper bound below threshold
             if dmin >= threshold or dmax <= -threshold:
@@ -311,36 +392,30 @@ class EsAtpg:
                 vec = complete_vector()
                 dev = dmin if dmin >= threshold else dmax
                 return EsResult(EsStatus.SAT, vec, dev, nodes)
-            pi = next((p for p in pi_rank if p not in assign), None)
-            if pi is None:
+            if depth == len(pi_rank):
                 # fully assigned: interval is a point
                 if abs(dmin) >= threshold:
                     return EsResult(EsStatus.SAT, complete_vector(), dmin, nodes)
                 return None
+            pi = pi_rank[depth]
             for value in (1, 0):
+                mark = len(trail)
                 assign[pi] = value
-                res = search()
+                imply(pi, value)
+                res = search(depth + 1)
+                undo(mark)
                 del assign[pi]
                 if res is not None:
                     return res
             return None
 
-        res = search()
-        if res is not None:
-            return res
-        return EsResult(EsStatus.UNSAT, None, None, nodes)
-
-    def _pi_order(self) -> List[str]:
-        """Support PIs ranked by the weight of the outputs they reach."""
-        score: Dict[str, int] = {pi: 0 for pi in self.support}
-        for o in self.affected_outputs:
-            cone = transitive_fanin(self.good, o, include_self=True)
-            cone |= transitive_fanin(self.faulty, self._pair[o], include_self=True)
-            w = self.weights[o]
-            for pi in self.support:
-                if pi in cone:
-                    score[pi] += w
-        return sorted(self.support, key=lambda p: -score[p])
+        try:
+            res = search(0)
+        finally:
+            undo(0)
+        if res is None:
+            res = EsResult(EsStatus.UNSAT, None, None, nodes)
+        return res, gate_evals
 
     # ------------------------------------------------------------------
     # exact small-support path
@@ -358,9 +433,10 @@ class EsAtpg:
         """
         import numpy as np
 
+        from ..circuit.gates import ALL_ONES
         from ..circuit.structure import subcircuit
         from ..simulation.logicsim import LogicSimulator
-        from ..simulation.vectors import pack_vectors
+        from ..simulation.vectors import num_words
 
         s = len(self.support)
         if not self.affected_outputs:
@@ -373,31 +449,39 @@ class EsAtpg:
         faulty_sim = LogicSimulator(faulty_cone)
         pi_index = {pi: k for k, pi in enumerate(self.good.inputs)}
         support_idx = [pi_index[pi] for pi in self.support]
-        n_in = len(self.good.inputs)
         weights = [self.weights[o] for o in self.affected_outputs]
+        # Exact integer dot products: int64 while sums stay below 2**53,
+        # Python integers beyond.
+        wide = max(weights) * len(weights) >= (1 << 53)
+        w_vec = np.asarray(weights, dtype=object if wide else np.int64)
         total = 1 << s
         best = 0
         self.obs.incr("es_atpg.exact_vectors", total)
-        for start in range(0, total, chunk_vectors):
-            count = min(chunk_vectors, total - start)
-            ints = np.arange(start, start + count, dtype=np.uint64)
-            vecs = np.zeros((count, n_in), dtype=bool)
-            for bit, idx in enumerate(support_idx):
-                vecs[:, idx] = (ints >> np.uint64(bit)) & np.uint64(1)
-            packed = pack_vectors(vecs)
-            g = good_sim.run_packed(packed, count)
-            f = faulty_sim.run_packed(packed, count, self.faults)
-            gbits = g.output_bits(self.affected_outputs)
-            fbits = f.output_bits(faulty_names)
-            delta = fbits.astype(np.int8) - gbits.astype(np.int8)
-            max_w = max(weights) if weights else 1
-            if max_w * max(1, len(weights)) < (1 << 53):
-                vals = np.abs(delta @ np.asarray(weights, dtype=np.float64))
-                best = max(best, int(vals.max()))
-            else:
-                for row in delta:
-                    v = abs(sum(w * int(d) for w, d in zip(weights, row) if d))
-                    best = max(best, v)
+
+        def bit_rows(result, names: Sequence[str], count: int):
+            """0/1 int8 matrix (outputs x vectors) of one simulation run."""
+            words = np.stack([result.words_for(n) for n in names]).astype("<u8", copy=False)
+            bits = np.unpackbits(words.view(np.uint8), axis=1, bitorder="little")
+            return bits[:, :count].view(np.int8)
+
+        # Chunks start on word boundaries, so bit k of every word holds a
+        # vector 64*w + k: support bit b < 6 packs to the same word
+        # everywhere, and every higher one to all-ones or all-zero words.
+        chunk = max(64, chunk_vectors - chunk_vectors % 64)
+        packed = np.zeros((len(self.good.inputs), num_words(min(chunk, total))), dtype=np.uint64)
+        for bit, idx in enumerate(support_idx[:6]):
+            packed[idx] = sum(1 << k for k in range(64) if k >> bit & 1)
+        for start in range(0, total, chunk):
+            count = min(chunk, total - start)
+            words = num_words(count)
+            word_ids = np.arange(start >> 6, (start >> 6) + words, dtype=np.uint64)
+            for bit, idx in enumerate(support_idx[6:]):
+                packed[idx, :words] = ((word_ids >> np.uint64(bit)) & np.uint64(1)) * ALL_ONES
+            block = packed[:, :words]
+            g = good_sim.run_packed(block, count)
+            f = faulty_sim.run_packed(block, count, self.faults)
+            delta = bit_rows(f, faulty_names, count) - bit_rows(g, self.affected_outputs, count)
+            best = max(best, int(np.abs(w_vec @ delta).max()))
         return best
 
     def decide(self, threshold: int, exhaustive_limit: int = 22) -> EsResult:
@@ -461,17 +545,8 @@ class EsAtpg:
 
 def _eval3(gtype: GateType, values: List[int]) -> int:
     """Three-valued (0/1/X) gate evaluation with controlling-value
-    short-circuits."""
-    if gtype is GateType.CONST0:
-        return 0
-    if gtype is GateType.CONST1:
-        return 1
-    if gtype is GateType.BUF:
-        return values[0]
-    if gtype is GateType.NOT:
-        v = values[0]
-        return _X if v == _X else v ^ 1
-    if gtype in (GateType.AND, GateType.NAND):
+    short-circuits.  The most common gate types are tested first."""
+    if gtype is GateType.AND or gtype is GateType.NAND:
         acc = 1
         for v in values:
             if v == 0:
@@ -482,7 +557,7 @@ def _eval3(gtype: GateType, values: List[int]) -> int:
         if gtype is GateType.NAND:
             return _X if acc == _X else acc ^ 1
         return acc
-    if gtype in (GateType.OR, GateType.NOR):
+    if gtype is GateType.OR or gtype is GateType.NOR:
         acc = 0
         for v in values:
             if v == 1:
@@ -493,7 +568,10 @@ def _eval3(gtype: GateType, values: List[int]) -> int:
         if gtype is GateType.NOR:
             return _X if acc == _X else acc ^ 1
         return acc
-    if gtype in (GateType.XOR, GateType.XNOR):
+    if gtype is GateType.NOT:
+        v = values[0]
+        return _X if v == _X else v ^ 1
+    if gtype is GateType.XOR or gtype is GateType.XNOR:
         acc = 0
         for v in values:
             if v == _X:
@@ -502,4 +580,10 @@ def _eval3(gtype: GateType, values: List[int]) -> int:
         if gtype is GateType.XNOR:
             return acc ^ 1
         return acc
+    if gtype is GateType.BUF:
+        return values[0]
+    if gtype is GateType.CONST0:
+        return 0
+    if gtype is GateType.CONST1:
+        return 1
     raise ValueError(f"unknown gate type {gtype!r}")

@@ -11,9 +11,10 @@ Renders three sections from the JSONL event stream of one run:
   per committed step;
 * **top-k hotspot counters** -- the largest monotonic counters
   (vectors simulated, cache hits/misses, ATPG backtracks, ...),
-  followed by the pinned ``parallel.*`` fallback/dispatch counters and
-  the derived estimator cache hit-rates (never crowded out of the
-  top-k window by bigger raw counts).
+  followed by the pinned ``parallel.*`` fallback/dispatch counters, the
+  derived estimator cache hit-rates and the ES search's gate
+  evaluations per node (never crowded out of the top-k window by
+  bigger raw counts).
 
 ``report_as_dict`` is the machine-readable twin (``repro report
 --format json``); :func:`collect_timers` / :func:`collect_counters`
@@ -114,7 +115,8 @@ _CACHE_PAIRS = (
 
 
 def derived_counter_rows(counters: Dict[str, int]) -> List[Tuple[str, str]]:
-    """Derived (name, rendered value) rows: estimator cache hit-rates."""
+    """Derived (name, rendered value) rows: estimator cache hit-rates and
+    the ES search's gate evaluations per node."""
     rows: List[Tuple[str, str]] = []
     for hits_key, misses_key in _CACHE_PAIRS:
         hits = counters.get(hits_key, 0)
@@ -123,6 +125,10 @@ def derived_counter_rows(counters: Dict[str, int]) -> List[Tuple[str, str]]:
         if total:
             name = hits_key.rsplit("_hits", 1)[0] + "_hit_rate"
             rows.append((name, f"{100.0 * hits / total:5.1f}%  ({hits}/{total})"))
+    nodes = counters.get("es_atpg.nodes", 0)
+    evals = counters.get("es_atpg.gate_evals")
+    if nodes and evals is not None:  # journals before the counter lack it
+        rows.append(("es_atpg.gate_evals_per_node", f"{evals / nodes:.1f}  ({evals}/{nodes})"))
     return rows
 
 
@@ -221,6 +227,14 @@ def report_as_dict(events: Sequence[Dict], top_k: int = 12) -> Dict:
                 "total": total,
                 "rate": hits / total,
             }
+    nodes = counters.get("es_atpg.nodes", 0)
+    evals = counters.get("es_atpg.gate_evals")
+    if nodes and evals is not None:
+        derived["es_atpg.gate_evals_per_node"] = {
+            "gate_evals": evals,
+            "nodes": nodes,
+            "per_node": evals / nodes,
+        }
 
     return {
         "run": {

@@ -19,6 +19,27 @@ def test_exact_max_deviation_chunking(adder8):
     full = atpg.exact_max_deviation()
     chunked = atpg.exact_max_deviation(chunk_vectors=64)
     assert full == chunked
+    # chunk sizes below or off a 64-vector word change nothing either
+    assert atpg.exact_max_deviation(chunk_vectors=1) == full
+    assert atpg.exact_max_deviation(chunk_vectors=200) == full
+
+
+def test_exact_max_deviation_wide_weights():
+    """Deviations beyond 2**63 stay exact (Python-integer dot product)."""
+    from repro.circuit import CircuitBuilder
+    from repro.simulation import FaultSimulator
+
+    b = CircuitBuilder("wide")
+    ins = b.input_bus("d", 8)
+    for i, s in enumerate(ins):
+        b.output(b.XOR(s, ins[(i + 1) % 8]), weight=(1 << 62) + i)
+    c = b.build()
+    faults = [StuckAtFault.stem(c.outputs[k], k % 2) for k in (1, 2, 6)]
+    atpg = EsAtpg(c, faults=faults)
+    want = FaultSimulator(c).estimate(faults, exhaustive=True).max_abs_deviation
+    assert want > 1 << 63
+    assert atpg.exact_max_deviation() == want
+    assert atpg.exact_max_deviation(chunk_vectors=64) == want
 
 
 def test_support_set_is_minimal(adder8):

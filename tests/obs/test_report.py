@@ -162,6 +162,21 @@ def test_derived_cache_hit_rate_rows():
     assert "batchsim.plan_cache_hit_rate" not in out
 
 
+def test_derived_gate_evals_per_node_row():
+    from repro.obs import report_as_dict
+
+    counters = {"es_atpg.nodes": 400, "es_atpg.gate_evals": 11_000}
+    events = [_header(), _summary(counters=counters)]
+    assert "es_atpg.gate_evals_per_node  27.5  (11000/400)" in render_report(events)
+    assert report_as_dict(events)["derived"]["es_atpg.gate_evals_per_node"] == {
+        "gate_evals": 11_000, "nodes": 400, "per_node": 27.5,
+    }
+    # no branch-&-bound node, or a journal from before the counter: no row
+    assert "gate_evals_per_node" not in render_report([_header(), _summary(counters={})])
+    old = [_header(), _summary(counters={"es_atpg.nodes": 400})]
+    assert "gate_evals_per_node" not in render_report(old)
+
+
 # ----------------------------------------------------------------------
 # machine-readable twin (--format json)
 # ----------------------------------------------------------------------
