@@ -1,17 +1,18 @@
-"""Compiled whole-netlist kernel vs the per-gate python interpreter.
+"""Compiled whole-netlist kernel vs the per-gate reference simulator.
 
-Three measurements on the big Table II circuits (c5315, c7552), all
-with both engines producing bit-identical results (enforced by
-``tests/simulation/test_engine_equivalence.py`` and spot-checked here):
+Two measurements on the big Table II circuits (c5315, c7552):
 
-* whole-netlist good-value simulation throughput,
-* greedy phase-2 candidate ranking (``MetricsEstimator.simulate_faults``
-  over the real greedy shortlist),
-* an end-to-end ``circuit_simplify`` run,
-* background-telemetry sampling overhead on an end-to-end run.
+* whole-netlist good-value simulation throughput of
+  :class:`CompiledSimulator` against :class:`LogicSimulator`, which
+  produce bit-identical words (enforced by
+  ``tests/simulation/test_engine_equivalence.py`` and spot-checked
+  here);
+* background-telemetry sampling overhead on a bounded
+  ``circuit_simplify`` run.
 
-Every row also records process RSS after each engine's timed runs plus
-the run-wide peak, so ``repro trends`` can flag memory regressions
+End-to-end simplification timing lives in ``perfbench/``.  Every row
+also records process RSS (after each simulator's timed runs, plus the
+run-wide peak), so ``repro trends`` can flag memory regressions
 alongside the timing ones.
 
 Rows land in ``bench_results.txt`` and machine-readably in
@@ -25,15 +26,12 @@ import numpy as np
 import pytest
 
 from repro.benchlib import ISCAS85_SUITE
-from repro.faults import enumerate_faults
-from repro.metrics import MetricsEstimator
 from repro.obs.telemetry import peak_rss_bytes, sample_rss_bytes
-from repro.simplify import GreedyConfig, circuit_simplify, preview_area_reduction
-from repro.simulation import LogicSimulator, make_simulator, random_vectors
+from repro.simplify import GreedyConfig, circuit_simplify
+from repro.simulation import CompiledSimulator, LogicSimulator, random_vectors
 
 FULL = bool(int(os.environ.get("REPRO_BENCH_FULL", "0")))
 NUM_VECTORS = 10_000 if FULL else 4_000
-SHORTLIST = 200 if FULL else 96
 ROUNDS = 3
 CIRCUITS = ["c5315", "c7552"]
 
@@ -58,28 +56,13 @@ def _rss_fields(rss_python_mb, rss_compiled_mb):
     }
 
 
-def greedy_shortlist(circuit, limit):
-    """Replicate the greedy loop's phase-1 proxy pre-ranking."""
-    scored = []
-    for f in enumerate_faults(circuit):
-        try:
-            delta = preview_area_reduction(circuit, f)
-        except Exception:
-            continue
-        if delta > 0:
-            scored.append((delta, f))
-    scored.sort(key=lambda t: -t[0])
-    return [f for _delta, f in scored[:limit]]
-
-
 @pytest.mark.parametrize("name", CIRCUITS)
 def test_good_sim_throughput(name, benchmark, bench_rows, bench_json):
     circuit = ISCAS85_SUITE[name].builder()
     rng = np.random.default_rng(0)
     vectors = random_vectors(len(circuit.inputs), NUM_VECTORS, rng)
     py = LogicSimulator(circuit)
-    cm, engine = make_simulator(circuit, "compiled")
-    assert engine == "compiled"
+    cm = CompiledSimulator(circuit)
 
     a, b = py.run(vectors), cm.run(vectors)
     for o in circuit.outputs:
@@ -110,103 +93,10 @@ def test_good_sim_throughput(name, benchmark, bench_rows, bench_json):
     )
 
 
-@pytest.mark.parametrize("name", CIRCUITS)
-def test_candidate_ranking_speedup(name, benchmark, bench_rows, bench_json):
-    """Greedy phase-2 scoring under each engine (batch path in both)."""
-    circuit = ISCAS85_SUITE[name].builder()
-    faults = greedy_shortlist(circuit, SHORTLIST)
-    est = {
-        eng: MetricsEstimator(
-            circuit, num_vectors=NUM_VECTORS, seed=0, engine=eng
-        )
-        for eng in ("python", "compiled")
-    }
-
-    stats_py = est["python"].simulate_faults(faults, approx=circuit)
-    stats_cm = est["compiled"].simulate_faults(faults, approx=circuit)
-    for a, b in zip(stats_py, stats_cm):
-        assert a.error_rate == b.error_rate
-        assert a.max_abs_deviation == b.max_abs_deviation
-
-    t_py = _timeit(lambda: est["python"].simulate_faults(faults, approx=circuit))
-    rss_py = _rss_mb()
-    t_cm = _timeit(lambda: est["compiled"].simulate_faults(faults, approx=circuit))
-    rss_cm = _rss_mb()
-    benchmark.pedantic(
-        lambda: est["compiled"].simulate_faults(faults, approx=circuit),
-        rounds=1,
-        iterations=1,
-    )
-    speedup = t_py / t_cm
-    bench_rows.append(
-        f"KERNEL-RANK {name:<6} {len(faults)} candidates x {NUM_VECTORS} vectors: "
-        f"python={t_py * 1e3:7.1f}ms  compiled={t_cm * 1e3:7.1f}ms  "
-        f"speedup={speedup:.1f}x"
-    )
-    bench_json["compiled_kernel"].append(
-        {
-            "bench": "candidate_ranking",
-            "circuit": name,
-            "candidates": len(faults),
-            "num_vectors": NUM_VECTORS,
-            "full_profile": FULL,
-            "t_python_ms": round(t_py * 1e3, 3),
-            "t_compiled_ms": round(t_cm * 1e3, 3),
-            "speedup": round(speedup, 2),
-            **_rss_fields(rss_py, rss_cm),
-        }
-    )
-
-
-@pytest.mark.parametrize("name", CIRCUITS)
-def test_end_to_end_simplify(name, benchmark, bench_rows, bench_json):
-    """A bounded circuit_simplify run, wall-clock under each engine."""
-    circuit = ISCAS85_SUITE[name].builder()
-    iters = 8 if FULL else 4
-
-    def run(engine):
-        cfg = GreedyConfig(
-            num_vectors=NUM_VECTORS,
-            seed=0,
-            candidate_limit=60,
-            max_iterations=iters,
-            atpg_node_limit=400,
-            engine=engine,
-        )
-        t0 = time.perf_counter()
-        res = circuit_simplify(circuit, rs_pct_threshold=2.0, config=cfg)
-        return time.perf_counter() - t0, res
-
-    t_py, res_py = run("python")
-    rss_py = _rss_mb()
-    t_cm, res_cm = run("compiled")
-    rss_cm = _rss_mb()
-    assert [str(f) for f in res_py.faults] == [str(f) for f in res_cm.faults]
-    benchmark.pedantic(lambda: run("compiled"), rounds=1, iterations=1)
-    speedup = t_py / t_cm
-    bench_rows.append(
-        f"KERNEL-E2E {name:<6} {len(res_cm.iterations)} commits: "
-        f"python={t_py:6.2f}s  compiled={t_cm:6.2f}s  speedup={speedup:.1f}x"
-    )
-    bench_json["compiled_kernel"].append(
-        {
-            "bench": "end_to_end",
-            "circuit": name,
-            "iterations": len(res_cm.iterations),
-            "num_vectors": NUM_VECTORS,
-            "full_profile": FULL,
-            "t_python_s": round(t_py, 3),
-            "t_compiled_s": round(t_cm, 3),
-            "speedup": round(speedup, 2),
-            **_rss_fields(rss_py, rss_cm),
-        }
-    )
-
-
 def test_telemetry_overhead(benchmark, bench_rows, bench_json):
     """Sampled RSS/CPU telemetry must stay in the noise (<2% target).
 
-    Times a bounded compiled-engine ``circuit_simplify`` on c5315 with
+    Times a bounded ``circuit_simplify`` on c5315 with
     and without a 50ms background sampler.  The assertion bound is
     deliberately loose (10%) so CI jitter can't flake the job; the
     measured number lands in the bench JSON for ``repro trends``.
@@ -221,7 +111,6 @@ def test_telemetry_overhead(benchmark, bench_rows, bench_json):
             candidate_limit=60,
             max_iterations=iters,
             atpg_node_limit=400,
-            engine="compiled",
         )
         t0 = time.perf_counter()
         circuit_simplify(

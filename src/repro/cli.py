@@ -169,13 +169,6 @@ def _add_greedy_options(p: argparse.ArgumentParser) -> None:
                    help="processes for candidate scoring (0: one per CPU; "
                         "default: the REPRO_WORKERS env var, else serial); "
                         "parallel runs pick the same faults as serial runs")
-    p.add_argument("--engine", choices=["auto", "compiled", "python"],
-                   default="auto",
-                   help="simulation engine: the compiled whole-netlist "
-                        "kernel or the per-gate python simulator "
-                        "(bit-identical results; default: the REPRO_ENGINE "
-                        "env var, else compiled; a netlist the compiler "
-                        "rejects falls back to python automatically)")
 
 
 def _add_obs_options(p: argparse.ArgumentParser) -> None:
@@ -237,7 +230,6 @@ def _config(args: argparse.Namespace) -> GreedyConfig:
         exhaustive=args.exhaustive,
         redundancy_prepass=not args.no_prepass,
         pow2_es=args.pow2_es,
-        engine=getattr(args, "engine", None),
     )
 
 

@@ -213,7 +213,10 @@ logger = logging.getLogger("repro.core")
 _FOMS = ("best", "area", "area_per_rs")
 _ES_MODES = ("hybrid", "atpg", "simulated")
 _WEIGHTS = ("netlist", "unit", "binary")
-_REQUEST_ENGINES = ("auto", "compiled", "python")
+#: Values the retired ``engine`` field once accepted.  Stored requests
+#: and older clients still send it: a once-valid value is dropped on
+#: input, anything else is rejected as before.
+_RETIRED_ENGINES = ("auto", "compiled", "python", None)
 
 # GreedyConfig fields that SimplifyRequest mirrors one-to-one.
 _GREEDY_FIELDS = (
@@ -230,7 +233,6 @@ _GREEDY_FIELDS = (
     "pow2_es",
     "redundancy_prepass",
     "prepass_backtrack_limit",
-    "engine",
 )
 
 
@@ -248,13 +250,6 @@ class SimplifyRequest:
     *copy* of the circuit before the run: ``"netlist"`` uses the
     circuit as given, ``"unit"`` forces every data output to weight 1,
     ``"binary"`` weighs output bit *i* as ``2**i``.
-
-    ``engine`` picks the simulation kernel: ``"compiled"`` (the
-    whole-netlist compiled kernel), ``"python"`` (the per-gate
-    reference simulator), or ``"auto"`` (the default -- consults
-    ``REPRO_ENGINE``, falling back to compiled).  Both engines are
-    bit-identical; a netlist the compiler rejects falls back to python
-    automatically.
 
     ``workers`` shards phase-2 candidate scoring across processes
     (``None`` consults ``REPRO_WORKERS``; see
@@ -292,7 +287,6 @@ class SimplifyRequest:
     pow2_es: bool = False
     redundancy_prepass: bool = False
     prepass_backtrack_limit: int = 500
-    engine: str = "auto"
     weights: str = "netlist"
     workers: Optional[int] = None
     checkpoint: Optional[str] = None
@@ -316,10 +310,6 @@ class SimplifyRequest:
         if self.weights not in _WEIGHTS:
             raise InvalidRequestError(
                 f"weights must be one of {_WEIGHTS}, got {self.weights!r}"
-            )
-        if self.engine is not None and self.engine not in _REQUEST_ENGINES:
-            raise InvalidRequestError(
-                f"engine must be one of {_REQUEST_ENGINES}, got {self.engine!r}"
             )
         if self.num_vectors <= 0:
             raise InvalidRequestError("num_vectors must be positive")
@@ -364,7 +354,6 @@ class SimplifyRequest:
             exhaustive=getattr(args, "exhaustive", False),
             redundancy_prepass=not getattr(args, "no_prepass", False),
             pow2_es=getattr(args, "pow2_es", False),
-            engine=getattr(args, "engine", "auto") or "auto",
             weights=getattr(args, "weights", "netlist"),
             workers=getattr(args, "workers", None),
             checkpoint=getattr(args, "checkpoint", None),
@@ -391,12 +380,18 @@ class SimplifyRequest:
         accepted, newer versions are rejected with an upgrade hint.
         Unknown keys are rejected -- a field this build has never heard
         of means the payload is newer or wrong, and either way it must
-        not be silently dropped.
+        not be silently dropped.  The retired ``engine`` field is
+        dropped when its value was once valid.
         """
         if not isinstance(data, dict):
             raise InvalidRequestError("request JSON must be an object")
         data = dict(data)
         _check_schema_version("request", data.pop("schema_version", None))
+        engine = data.pop("engine", None)
+        if engine not in _RETIRED_ENGINES:
+            raise InvalidRequestError(
+                f"engine must be one of {_RETIRED_ENGINES[:-1]}, got {engine!r}"
+            )
         known = {f.name for f in dataclasses.fields(cls)}
         unknown = sorted(set(data) - known)
         if unknown:

@@ -34,8 +34,8 @@ from ..circuit import Circuit
 from ..faults.model import StuckAtFault
 from ..obs.core import Instrumentation, get_active
 from ..simulation.batchfaultsim import BatchFaultSimulator, FaultBatchStats
-from ..simulation.compiled import make_simulator
-from ..simulation.logicsim import LogicSimulator, SimResult
+from ..simulation.compiled import CompiledSimulator
+from ..simulation.logicsim import SimResult
 from ..simulation.vectors import exhaustive_vectors, pack_vectors, random_vectors
 from .errors import ErrorMetrics, rs_max
 
@@ -55,7 +55,6 @@ class MetricsEstimator:
         atpg_node_limit: int = 20_000,
         obs: Optional[Instrumentation] = None,
         vectors: Optional[np.ndarray] = None,
-        engine: Optional[str] = None,
     ) -> None:
         circuit.validate()
         self.circuit = circuit
@@ -92,11 +91,7 @@ class MetricsEstimator:
         # positions of value outputs within the output list (for pairing)
         self._value_pos = [circuit.outputs.index(o) for o in self.value_outputs]
 
-        # The resolved engine is pinned here: every simulator this
-        # estimator builds (good machine, per-netlist full sims, batch
-        # cone sims, pool workers) uses the same one, and a compile
-        # fallback downgrades them all consistently.
-        self._good_sim, self.engine = make_simulator(circuit, engine, self.obs)
+        self._good_sim = CompiledSimulator(circuit, obs=self.obs)
         self._good = self._good_sim.run_packed(self.packed, self.num_vectors)
         self._good_words = [self._good.words_for(o) for o in circuit.outputs]
         self._good_value_bits = self._good.output_bits(self.value_outputs)
@@ -105,7 +100,7 @@ class MetricsEstimator:
             if self._good_words
             else np.zeros((0, self.packed.shape[1]), dtype=np.uint64)
         )
-        self._sim_cache: Dict[int, LogicSimulator] = {}
+        self._sim_cache: Dict[int, CompiledSimulator] = {}
         self._batch_cache: Dict[int, BatchFaultSimulator] = {}
 
     # ------------------------------------------------------------------
@@ -336,7 +331,6 @@ class MetricsEstimator:
                 value_outputs=value_names,
                 weights=self.weights,
                 obs=self.obs,
-                engine=self.engine,
             )
             bsim.load_batch(
                 packed=self.packed,
@@ -347,12 +341,12 @@ class MetricsEstimator:
         self._batch_cache = {key: bsim}  # keep only the latest netlist
         return bsim
 
-    def _simulator_for(self, target: Circuit) -> LogicSimulator:
+    def _simulator_for(self, target: Circuit) -> CompiledSimulator:
         key = id(target)
         sim = self._sim_cache.get(key)
         if sim is None or sim.circuit is not target:
             self.obs.incr("estimator.sim_cache_misses")
-            sim, _engine = make_simulator(target, self.engine, self.obs)
+            sim = CompiledSimulator(target, obs=self.obs)
             self._sim_cache = {key: sim}  # keep only the latest netlist
         else:
             self.obs.incr("estimator.sim_cache_hits")

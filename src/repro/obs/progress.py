@@ -49,6 +49,8 @@ import threading
 import time
 from typing import Dict, IO, Optional, Tuple, Union
 
+from ..fileio import atomic_write_text
+
 __all__ = ["ProgressReporter"]
 
 _EWMA_ALPHA = 0.3
@@ -251,11 +253,10 @@ class ProgressReporter:
         self._write_prom()
         if self.json_path is None:
             return
-        tmp = f"{self.json_path}.tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            json.dump(self.snapshot(), fh, indent=2, sort_keys=True)
-            fh.write("\n")
-        os.replace(tmp, self.json_path)
+        atomic_write_text(
+            self.json_path,
+            json.dumps(self.snapshot(), indent=2, sort_keys=True) + "\n",
+        )
         self.writes += 1
 
     def _write_prom(self) -> None:
@@ -281,10 +282,7 @@ class ProgressReporter:
             },
             info={"circuit": self.circuit, "status": self.status},
         )
-        tmp = f"{self.prom_path}.tmp"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(text)
-        os.replace(tmp, self.prom_path)
+        atomic_write_text(self.prom_path, text)
 
     def _write_line(self) -> None:
         if self.stream is None:

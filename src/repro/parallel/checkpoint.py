@@ -372,9 +372,10 @@ def replay_checkpoint(
 def greedy_config_from(config: Dict):
     """Rebuild a :class:`GreedyConfig` from a journaled config dict.
 
-    Unknown keys (written by a newer schema) are dropped rather than
-    fatal; known keys keep their journaled values verbatim, which is
-    what pins the resumed run to the original's vector batch and knobs.
+    Unknown keys (written by a newer schema, or retired ones such as
+    ``engine``) are dropped rather than fatal; known keys keep their
+    journaled values verbatim, which is what pins the resumed run to
+    the original's vector batch and knobs.
     """
     import dataclasses
 

@@ -105,7 +105,6 @@ def _init_worker(
     shm_spec: Optional[Tuple[str, Tuple[int, int]]],
     value_outputs: Optional[Tuple[str, ...]],
     trace: bool = False,
-    engine: Optional[str] = None,
     telemetry: bool = False,
 ) -> None:
     """Build the per-worker estimator once (the pickle-once shipment)."""
@@ -132,15 +131,8 @@ def _init_worker(
 
         _WORKER_OBS = Instrumentation()
         _WORKER_OBS.tracer = TraceRecorder()
-    # The coordinator ships its *resolved* engine, so worker estimators
-    # never re-consult REPRO_ENGINE (which could differ after a fork
-    # from an env-mutating test) and score bit-identically to it.
     _WORKER_EST = MetricsEstimator(
-        circuit,
-        vectors=vectors,
-        value_outputs=value_outputs,
-        obs=_WORKER_OBS,
-        engine=engine,
+        circuit, vectors=vectors, value_outputs=value_outputs, obs=_WORKER_OBS
     )
 
 
@@ -363,7 +355,6 @@ class ScoringPool:
                     shm_spec,
                     est.value_outputs,
                     self.obs.tracer is not None,
-                    est.engine,
                     self.obs.telemetry is not None,
                 ),
             )

@@ -30,6 +30,7 @@ from typing import Optional
 
 from ..circuit import Circuit
 from ..core.api import SimplifyRequest
+from ..fileio import atomic_write_text
 
 __all__ = ["ResultCache", "cache_key"]
 
@@ -97,12 +98,8 @@ class ResultCache:
 
     def put(self, key: str, outcome_json: str) -> None:
         """Atomically store one outcome document under ``key``."""
-        path = self._path(key)
-        tmp = f"{path}.tmp.{os.getpid()}"
-        with open(tmp, "w", encoding="utf-8") as fh:
-            fh.write(outcome_json)
-            if not outcome_json.endswith("\n"):
-                fh.write("\n")
-        os.replace(tmp, path)
+        if not outcome_json.endswith("\n"):
+            outcome_json += "\n"
+        atomic_write_text(self._path(key), outcome_json)
         with self._lock:
             self._known.add(key)

@@ -40,6 +40,7 @@ import time
 from ..circuit import loads_bench
 from ..core.api import SimplifyOutcome, SimplifyRequest, simplify
 from ..core.errors import CompileError, ReproError, error_body
+from ..fileio import atomic_write_text
 from ..obs.flight import BUNDLE_DIRNAME, STACKS_FILENAME, FlightRecorder, StallWatchdog
 from ..obs.progress import ProgressReporter
 
@@ -124,12 +125,7 @@ class _FaultInjector:
 
 
 def _atomic_write(path: str, text: str) -> None:
-    tmp = f"{path}.tmp.{os.getpid()}"
-    with open(tmp, "w", encoding="utf-8") as fh:
-        fh.write(text)
-        if not text.endswith("\n"):
-            fh.write("\n")
-    os.replace(tmp, path)
+    atomic_write_text(path, text if text.endswith("\n") else text + "\n")
 
 
 def run_job(job_dir: str, flight: FlightRecorder = None) -> SimplifyOutcome:

@@ -81,6 +81,7 @@ from ..core.errors import (
     error_body,
     error_from_body,
 )
+from ..fileio import atomic_write_text
 from ..obs.core import Instrumentation
 from ..obs.flight import cluster_errors
 from ..obs.metrics_export import render_openmetrics
@@ -215,10 +216,7 @@ class SimplifyService:
         sha = hashlib.sha256(text.encode("utf-8")).hexdigest()
         path = os.path.join(self.netlists_dir, f"{sha}.bench")
         if not os.path.exists(path):
-            tmp = f"{path}.tmp.{os.getpid()}"
-            with open(tmp, "w", encoding="utf-8") as fh:
-                fh.write(text)
-            os.replace(tmp, path)
+            atomic_write_text(path, text)
         return sha
 
     def netlist_text(self, sha: str) -> str:

@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import os
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..circuit import Circuit
@@ -70,7 +70,7 @@ class GreedyConfig:
         fault dropping against the RS threshold).  Bit-identical to the
         per-fault full simulation it replaces -- the golden equivalence
         test pins that -- but much faster; ``False`` keeps the seed
-        path (full ``LogicSimulator`` walk per candidate).  Commit
+        path (one full-netlist simulation per candidate).  Commit
         decisions always use the full differential simulation either
         way, because ER does not compose across interacting faults.
     datapath_only:
@@ -96,16 +96,6 @@ class GreedyConfig:
     prepass_backtrack_limit:
         PODEM backtrack budget per fault during the prepass (aborted
         proofs count as not redundant).
-    engine:
-        Simulation engine: ``"compiled"`` (whole-netlist compiled
-        kernel, the default) or ``"python"`` (per-gate
-        :class:`~repro.simulation.logicsim.LogicSimulator` walk).
-        ``None`` / ``"auto"`` consult the ``REPRO_ENGINE`` environment
-        variable.  The resolved concrete value is what gets journaled,
-        so a checkpoint resume adopts the original run's engine no
-        matter the resuming process's environment.  Both engines are
-        bit-identical (pinned by the golden equivalence suite); the
-        flag exists for cross-checking and as an escape hatch.
     """
 
     fom: str = "area_per_rs"
@@ -122,7 +112,6 @@ class GreedyConfig:
     pow2_es: bool = False
     redundancy_prepass: bool = False
     prepass_backtrack_limit: int = 500
-    engine: Optional[str] = None
 
 
 @dataclass
@@ -265,14 +254,8 @@ def circuit_simplify(
     :mod:`repro.parallel.checkpoint`.
     """
     from ..parallel.pool import resolve_workers
-    from ..simulation.compiled import resolve_engine
 
     cfg = config or GreedyConfig()
-    # Resolve the engine to a concrete value up front: the journaled
-    # config must name the engine actually used (a resume adopts it
-    # regardless of the resuming process's REPRO_ENGINE), and the
-    # config-match check below compares resolved against resolved.
-    cfg = replace(cfg, engine=resolve_engine(cfg.engine))
     if (rs_threshold is None) == (rs_pct_threshold is None):
         raise ValueError("give exactly one of rs_threshold / rs_pct_threshold")
     maximum = rs_max(circuit)
@@ -301,9 +284,6 @@ def circuit_simplify(
         if state is not None:
             if config is None:
                 cfg = greedy_config_from(state.config)
-                # Checkpoints written before the engine flag existed
-                # journal no engine: resolve the default for them.
-                cfg = replace(cfg, engine=resolve_engine(cfg.engine))
             else:
                 _check_config_matches(cfg, state)
             state.validate_threshold(threshold)
@@ -360,12 +340,7 @@ def circuit_simplify(
         exhaustive=cfg.exhaustive,
         atpg_node_limit=cfg.atpg_node_limit,
         obs=obs,
-        engine=cfg.engine,
     )
-    if estimator.engine != cfg.engine:
-        # Compile fallback: record the engine actually in effect so the
-        # journal (and any resume) reflects reality.
-        cfg = replace(cfg, engine=estimator.engine)
     result = GreedyResult(
         original=circuit,
         simplified=circuit.copy(),
@@ -830,7 +805,7 @@ def _apply_redundancy_prepass(
     screen_vecs = random_vectors(
         len(current.inputs), 256, np.random.default_rng(cfg.seed + 7)
     )
-    fsim = FaultSimulator(current, obs=estimator.obs, engine=cfg.engine)
+    fsim = FaultSimulator(current, obs=estimator.obs)
     survivors = []
     for rep, members in classes.members.items():
         d = fsim.differential(screen_vecs, [rep])

@@ -13,14 +13,10 @@ from .vectors import (
 )
 from .logicsim import LogicSimulator, SimResult
 from .compiled import (
-    ENGINE_ENV,
-    ENGINES,
     CompiledProgram,
     CompiledSimulator,
     circuit_fingerprint,
     compile_program,
-    make_simulator,
-    resolve_engine,
 )
 from .faultsim import DifferentialResult, FaultSimulator
 from .batchfaultsim import BatchFaultSimulator, FaultBatchStats
@@ -31,12 +27,8 @@ __all__ = [
     "SimResult",
     "CompiledProgram",
     "CompiledSimulator",
-    "ENGINE_ENV",
-    "ENGINES",
     "circuit_fingerprint",
     "compile_program",
-    "make_simulator",
-    "resolve_engine",
     "FaultSimulator",
     "DifferentialResult",
     "BatchFaultSimulator",

@@ -13,8 +13,8 @@ waste:
   its line (the gates in the line's transitive fanout, in topological
   order, from :func:`repro.circuit.structure.fanout_cone_gates`),
   reading undisturbed signals straight from the baseline; the cone is
-  compiled into level groups -- same-type gates on one topological
-  level evaluate in a single vectorized numpy call;
+  lowered into level groups -- same-level gates sharing a bitwise core
+  evaluate in a single padded, vectorized pass;
 * only the primary outputs inside the cone are compared against the
   reference machine -- every other output is known to still match the
   baseline -- and only cone value-outputs enter the weighted-deviation
@@ -48,14 +48,14 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..circuit import Circuit, GateType
+from ..circuit import Circuit
 from ..circuit.gates import ALL_ONES
 from ..circuit.netlist import CircuitError
 from ..circuit.structure import fanout_cone_gates
 from ..faults.model import Line, StuckAtFault
 from ..obs.core import Instrumentation, get_active
-from .compiled import CORE_PAD, eval_core_group, lower_entry, make_simulator
-from .logicsim import LogicSimulator, SimResult, _eval_into
+from .compiled import CORE_PAD, CompiledSimulator, eval_core_group, lower_entry
+from .logicsim import SimResult, _eval_into
 from .vectors import pack_vectors, popcount_words, tail_mask, unpack_vectors
 
 __all__ = ["FaultBatchStats", "BatchFaultSimulator"]
@@ -133,8 +133,8 @@ class _ConePlan:
     ``first`` is the faulted gate itself for branch faults (its pin
     override makes it the one gate that needs scalar evaluation);
     ``groups`` is the rest of the cone, level-grouped: gates on the same
-    topological level never feed each other, so all same-type/same-arity
-    gates of a level evaluate in a single vectorized numpy call.
+    topological level never feed each other, so all gates of a level
+    lowering to one bitwise core evaluate in a single padded pass.
     """
 
     __slots__ = (
@@ -169,50 +169,6 @@ class _ConePlan:
         self.val_rows = val_rows
 
 
-def _eval_group(
-    gtype: GateType, out_rows: np.ndarray, in_rows: np.ndarray,
-    work: np.ndarray, sl: slice,
-) -> None:
-    """Evaluate one level-group of same-type gates in vectorized form.
-
-    ``in_rows`` has shape (arity, k): operand j of all k gates at once.
-    The fancy read ``work[in_rows[0], sl]`` copies, so in-place ufuncs
-    on the accumulator never alias the work array.
-    """
-    if gtype is GateType.CONST0:
-        work[out_rows, sl] = 0
-        return
-    if gtype is GateType.CONST1:
-        work[out_rows, sl] = ALL_ONES
-        return
-    acc = work[in_rows[0], sl]
-    if gtype is GateType.BUF:
-        work[out_rows, sl] = acc
-        return
-    if gtype is GateType.NOT:
-        np.bitwise_not(acc, out=acc)
-        work[out_rows, sl] = acc
-        return
-    if gtype in (GateType.AND, GateType.NAND):
-        for j in range(1, in_rows.shape[0]):
-            np.bitwise_and(acc, work[in_rows[j], sl], out=acc)
-        if gtype is GateType.NAND:
-            np.bitwise_not(acc, out=acc)
-    elif gtype in (GateType.OR, GateType.NOR):
-        for j in range(1, in_rows.shape[0]):
-            np.bitwise_or(acc, work[in_rows[j], sl], out=acc)
-        if gtype is GateType.NOR:
-            np.bitwise_not(acc, out=acc)
-    elif gtype in (GateType.XOR, GateType.XNOR):
-        for j in range(1, in_rows.shape[0]):
-            np.bitwise_xor(acc, work[in_rows[j], sl], out=acc)
-        if gtype is GateType.XNOR:
-            np.bitwise_not(acc, out=acc)
-    else:  # pragma: no cover - defensive
-        raise ValueError(f"unknown gate type {gtype!r}")
-    work[out_rows, sl] = acc
-
-
 class BatchFaultSimulator:
     """Cone-restricted single-fault batch simulator bound to one circuit.
 
@@ -225,15 +181,10 @@ class BatchFaultSimulator:
     pair a simplified netlist's outputs positionally with the original's
     weights.
 
-    ``engine`` selects the simulation kernel
-    (:func:`repro.simulation.compiled.resolve_engine` semantics).  The
-    compiled engine runs the baseline through the whole-netlist
-    compiled program and replays cones as level-sliced core groups --
-    same-level gates of *any* type merge into at most three padded
-    bitwise passes on the shared value matrix.  Detection, deviation,
-    chunking and early-drop logic are engine-independent, so both
-    engines produce bit-identical stats (including the dropped/
-    words_simulated bookkeeping).
+    The baseline runs through the whole-netlist compiled program, and
+    cones replay as level-sliced core groups -- same-level gates of
+    *any* type merge into at most three padded bitwise passes on the
+    shared value matrix.
     """
 
     def __init__(
@@ -243,11 +194,10 @@ class BatchFaultSimulator:
         value_outputs: Optional[Sequence[str]] = None,
         weights: Optional[Sequence[int]] = None,
         obs: Optional[Instrumentation] = None,
-        engine: Optional[str] = None,
     ) -> None:
         self.circuit = circuit
         self.obs = obs if obs is not None else get_active()
-        self.sim, self.engine = make_simulator(circuit, engine, self.obs)
+        self.sim = CompiledSimulator(circuit, obs=self.obs)
         self.observe_outputs = tuple(observe_outputs or circuit.outputs)
         if value_outputs is not None:
             self.value_outputs = tuple(value_outputs)
@@ -426,56 +376,16 @@ class BatchFaultSimulator:
         return plan
 
     def _group_entries(self, gates: Sequence[str]) -> Tuple[Tuple, ...]:
-        """Bucket cone gates into vectorized replay groups.
+        """Bucket cone gates into ``(level, core)`` replay groups.
 
-        The python engine buckets by ``(level, type, arity)`` (gates of
-        one group share a single typed numpy call); the compiled engine
-        buckets by ``(level, core)`` -- all same-level gates lowering to
-        the same bitwise core merge into one padded group regardless of
-        type or arity, executed by
-        :func:`repro.simulation.compiled.eval_core_group` against the
-        constant rows of the compiled value matrix.  Either way a
-        singleton bucket stays a scalar entry (basic row slicing beats
-        the gather/scatter machinery for one gate).
+        All same-level gates lowering to the same bitwise core merge
+        into one group padded to its maximum fan-in, emitted as a
+        4-tuple ``(core, out_rows, in_rows, inv)`` for
+        :func:`repro.simulation.compiled.eval_core_group`.  A singleton
+        bucket stays a scalar 3-tuple ``(gtype, out_row, in_rows)``
+        (basic row slicing beats the gather/scatter machinery for one
+        gate); ``_evaluate_one`` dispatches on tuple length.
         """
-        if self.engine == "compiled":
-            return self._group_entries_compiled(gates)
-        buckets: Dict[Tuple[int, GateType, int], List[Tuple[int, Tuple[int, ...]]]] = {}
-        for g in gates:
-            gtype, out_idx, in_idx = self._entry_of[g]
-            buckets.setdefault((self._level[g], gtype, len(in_idx)), []).append(
-                (out_idx, in_idx)
-            )
-        groups = []
-        for lvl, gtype, arity in sorted(
-            buckets, key=lambda k: (k[0], k[1].name, k[2])
-        ):
-            ents = buckets[(lvl, gtype, arity)]
-            if len(ents) == 1:
-                # singleton bucket: basic row slicing beats the fancy
-                # gather/scatter machinery -- emit a scalar entry
-                out_idx, in_idx = ents[0]
-                groups.append((gtype, out_idx, in_idx))
-                continue
-            out_rows = np.asarray([o for o, _ in ents], dtype=np.intp)
-            if arity:
-                in_rows = np.asarray(
-                    [[ii[j] for _o, ii in ents] for j in range(arity)],
-                    dtype=np.intp,
-                )
-            else:
-                in_rows = np.empty((0, len(ents)), dtype=np.intp)
-            groups.append((gtype, out_rows, in_rows))
-        return tuple(groups)
-
-    def _group_entries_compiled(self, gates: Sequence[str]) -> Tuple[Tuple, ...]:
-        """Compiled-engine grouping: (level, core) buckets, arity-padded.
-
-        Emits 4-tuples ``(core, out_rows, in_rows, inv)`` next to the
-        scalar 3-tuples; ``_evaluate_one`` dispatches on tuple length.
-        """
-        from ..circuit.gates import ALL_ONES
-
         buckets: Dict[Tuple[int, int], List[Tuple]] = {}
         for g in gates:
             gtype, out_idx, in_idx = self._entry_of[g]
@@ -595,15 +505,12 @@ class BatchFaultSimulator:
                 ]
                 _eval_into(gtype, operands, work[out_idx, sl], wlen)
             for entry in plan.groups:
-                if len(entry) == 4:  # compiled-engine core group
+                if len(entry) == 4:  # padded core group
                     eval_core_group(entry[0], entry[1], entry[2], entry[3], work, sl)
                     continue
-                gtype, out_rows, in_rows = entry
-                if type(out_rows) is int:
-                    operands = [work[idx, sl] for idx in in_rows]
-                    _eval_into(gtype, operands, work[out_rows, sl], wlen)
-                else:
-                    _eval_group(gtype, out_rows, in_rows, work, sl)
+                gtype, out_idx, in_idx = entry
+                operands = [work[idx, sl] for idx in in_idx]
+                _eval_into(gtype, operands, work[out_idx, sl], wlen)
 
             if plan.obs_pos.size:
                 d = ref[plan.obs_pos, sl] ^ work[plan.obs_rows, sl]

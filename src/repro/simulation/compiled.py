@@ -35,21 +35,14 @@ once.  :class:`CompiledSimulator` is a drop-in for
 ``_schedule`` surface, same :class:`SimResult`), and is bit-identical
 to it -- pinned by the golden equivalence suite in
 ``tests/simulation/test_engine_equivalence.py`` and the property tests
-in ``tests/simulation/test_compiled.py``.
-
-Engine selection (``resolve_engine`` / ``make_simulator``) follows the
-repo's ops-knob convention: an explicit ``engine=`` wins, ``None`` /
-``"auto"`` consults the ``REPRO_ENGINE`` environment variable, and the
-default is ``"compiled"``.  A netlist the compiler cannot lower falls
-back to the python engine with a ``kernel.fallbacks`` counter and a
-logged warning -- callers never see the failure.
+in ``tests/simulation/test_compiled.py``.  It is the only simulator the
+greedy path runs; :class:`LogicSimulator` remains the reference oracle
+and the evaluator for small exhaustive analyses.
 """
 
 from __future__ import annotations
 
 import hashlib
-import logging
-import os
 from collections import OrderedDict
 from typing import Dict, Iterable, List, Optional, Tuple
 
@@ -57,43 +50,20 @@ import numpy as np
 
 from ..circuit import Circuit, GateType
 from ..circuit.gates import ALL_ONES
-from ..circuit.netlist import CircuitError
 from ..faults.model import StuckAtFault
 from ..obs.core import Instrumentation, get_active
-from .logicsim import LogicSimulator, SimResult
+from .logicsim import SimResult
 from .vectors import num_words, pack_vectors
 
 __all__ = [
-    "ENGINE_ENV",
-    "ENGINES",
-    "PROGRAM_CACHE_ENV",
     "CompiledProgram",
     "CompiledSimulator",
     "circuit_fingerprint",
     "compile_program",
-    "make_simulator",
-    "resolve_engine",
 ]
-
-logger = logging.getLogger("repro.simulation.compiled")
-
-#: Environment override for the default simulation engine (mirrors
-#: ``REPRO_WORKERS`` for the scoring pool).  CI sets
-#: ``REPRO_ENGINE=compiled`` in the ``tests-compiled`` job.
-ENGINE_ENV = "REPRO_ENGINE"
-
-#: Environment override for the compiled-program LRU cache bound.
-#: Long sweeps over many structurally distinct netlists can raise it;
-#: memory-tight workers can shrink it.  Read per :func:`compile_program`
-#: call (not captured at import), so tests and long-lived processes can
-#: adjust it without reloading the module.
-PROGRAM_CACHE_ENV = "REPRO_PROGRAM_CACHE"
 
 #: Core names indexed by opcode, for the per-core pass counters.
 _CORE_NAMES = ("and", "or", "xor")
-
-#: Concrete engines a request can resolve to.
-ENGINES = ("compiled", "python")
 
 #: Reserved value-matrix rows: constant zero and constant one.  They
 #: double as the padding identity rows (one for the AND core, zero for
@@ -121,22 +91,6 @@ _LOWER: Dict[GateType, Tuple[int, bool]] = {
     GateType.BUF: (CORE_OR, False),
     GateType.NOT: (CORE_OR, True),
 }
-
-
-def resolve_engine(engine: Optional[str]) -> str:
-    """Resolve an engine request to a concrete engine name.
-
-    An explicit ``"compiled"`` / ``"python"`` wins; ``None`` or
-    ``"auto"`` reads :data:`ENGINE_ENV` and defaults to ``"compiled"``.
-    """
-    if engine is None or engine == "auto":
-        engine = os.environ.get(ENGINE_ENV, "").strip() or "compiled"
-    if engine not in ENGINES:
-        raise ValueError(
-            f"unknown simulation engine {engine!r}; expected one of "
-            f"{ENGINES} (or 'auto')"
-        )
-    return engine
 
 
 def lower_entry(
@@ -387,27 +341,7 @@ def _build_pass_counters(
 #: Content-keyed program cache (per process).  Bounded: the greedy loop
 #: touches at most a handful of distinct netlist structures at a time.
 _PROGRAM_CACHE: "OrderedDict[str, CompiledProgram]" = OrderedDict()
-_PROGRAM_CACHE_DEFAULT_MAX = 64
-
-
-def _program_cache_max() -> int:
-    """The LRU bound: :data:`PROGRAM_CACHE_ENV` or the default 64."""
-    raw = os.environ.get(PROGRAM_CACHE_ENV, "").strip()
-    if not raw:
-        return _PROGRAM_CACHE_DEFAULT_MAX
-    try:
-        limit = int(raw)
-    except ValueError:
-        raise ValueError(
-            f"{PROGRAM_CACHE_ENV}={raw!r} is not an integer; expected a "
-            f"positive program-cache size"
-        ) from None
-    if limit <= 0:
-        raise ValueError(
-            f"{PROGRAM_CACHE_ENV}={raw!r} must be a positive integer "
-            f"(the cache needs room for at least the current program)"
-        )
-    return limit
+_PROGRAM_CACHE_MAX = 64
 
 
 def compile_program(
@@ -415,7 +349,6 @@ def compile_program(
 ) -> CompiledProgram:
     """Lower a circuit to its :class:`CompiledProgram` (content-cached)."""
     obs = obs if obs is not None else get_active()
-    limit = _program_cache_max()
     key = circuit_fingerprint(circuit)
     program = _PROGRAM_CACHE.get(key)
     if program is not None:
@@ -429,7 +362,7 @@ def compile_program(
     obs.incr("compile.gates_lowered", len(program.schedule))
     obs.incr("compile.levels", len(program.levels))
     _PROGRAM_CACHE[key] = program
-    while len(_PROGRAM_CACHE) > limit:
+    while len(_PROGRAM_CACHE) > _PROGRAM_CACHE_MAX:
         _PROGRAM_CACHE.popitem(last=False)
         obs.incr("compile.cache_evictions")
     return program
@@ -549,31 +482,3 @@ class CompiledSimulator:
         for name, amount, by_words in p.pass_counters:
             self.obs.incr(name, amount * w if by_words else amount)
         return SimResult(self, values, num_vectors)
-
-
-def make_simulator(
-    circuit: Circuit,
-    engine: Optional[str] = None,
-    obs: Optional[Instrumentation] = None,
-):
-    """Build the requested engine's simulator for a circuit.
-
-    Returns ``(simulator, engine)`` -- the engine actually in effect,
-    which differs from the request only when compilation failed and the
-    python engine took over (``kernel.fallbacks`` counter + warning).
-    """
-    engine = resolve_engine(engine)
-    obs = obs if obs is not None else get_active()
-    if engine == "compiled":
-        try:
-            return CompiledSimulator(circuit, obs=obs), "compiled"
-        except CircuitError:
-            raise  # the netlist itself is broken: both engines reject it
-        except Exception as exc:
-            obs.incr("kernel.fallbacks")
-            logger.warning(
-                "compiled engine unavailable for %s (%s); falling back to python",
-                circuit.name,
-                exc,
-            )
-    return LogicSimulator(circuit), "python"

@@ -20,7 +20,7 @@ import numpy as np
 from ..circuit import Circuit
 from ..faults.model import StuckAtFault
 from ..obs.core import Instrumentation, get_active
-from .compiled import make_simulator, resolve_engine
+from .compiled import CompiledSimulator
 from .logicsim import SimResult
 from .vectors import pack_vectors, random_vectors, exhaustive_vectors
 
@@ -107,10 +107,6 @@ class FaultSimulator:
         Outputs whose weighted numeric value defines deviation (ES).
         Defaults to the circuit's data outputs (all outputs when no
         data annotation exists).
-    engine:
-        Simulation engine (``"compiled"`` / ``"python"``; ``None`` and
-        ``"auto"`` consult ``REPRO_ENGINE`` and default to compiled --
-        see :func:`repro.simulation.compiled.resolve_engine`).
     """
 
     def __init__(
@@ -119,11 +115,10 @@ class FaultSimulator:
         observe_outputs: Optional[Sequence[str]] = None,
         value_outputs: Optional[Sequence[str]] = None,
         obs: Optional[Instrumentation] = None,
-        engine: Optional[str] = None,
     ) -> None:
         self.circuit = circuit
         self.obs = obs if obs is not None else get_active()
-        self.sim, self.engine = make_simulator(circuit, engine, self.obs)
+        self.sim = CompiledSimulator(circuit, obs=self.obs)
         self.observe_outputs = tuple(observe_outputs or circuit.outputs)
         if value_outputs is not None:
             self.value_outputs = tuple(value_outputs)
@@ -132,24 +127,7 @@ class FaultSimulator:
         else:
             self.value_outputs = tuple(circuit.outputs)
         self.weights = [int(circuit.output_weights.get(o, 1)) for o in self.value_outputs]
-        self._good_cache: Dict[Tuple[str, int, bytes], SimResult] = {}
-
-    # ------------------------------------------------------------------
-    def set_engine(self, engine: Optional[str]) -> str:
-        """Switch the simulation engine mid-process.
-
-        Rebuilds the underlying simulator when the resolved engine
-        differs; returns the engine now in effect.  Cached good results
-        are keyed by engine, so a switch can never serve values that
-        were computed by (and whose signal indexing belongs to) the
-        other engine.
-        """
-        resolved = resolve_engine(engine)
-        if resolved != self.engine:
-            self.sim, self.engine = make_simulator(
-                self.circuit, resolved, self.obs
-            )
-        return self.engine
+        self._good_cache: Dict[Tuple[int, bytes], SimResult] = {}
 
     # ------------------------------------------------------------------
     def differential(
@@ -185,14 +163,11 @@ class FaultSimulator:
         ``id()``: CPython reuses object ids after garbage collection, so
         an id-keyed cache can silently serve one batch's good values to
         a different, same-sized batch (regression-tested in
-        ``tests/simulation/test_faultsim.py``).  The engine is part of
-        the key too: a :class:`SimResult` indexes signals through the
-        simulator that produced it, so after :meth:`set_engine` a
-        content-hit from the previous engine would be stale.
+        ``tests/simulation/test_faultsim.py``).
         """
         if packed is None:
             packed = pack_vectors(np.asarray(vectors, dtype=bool))
-        key = (self.engine, vectors.shape[0], hashlib.sha1(packed.tobytes()).digest())
+        key = (vectors.shape[0], hashlib.sha1(packed.tobytes()).digest())
         cached = self._good_cache.get(key)
         if cached is not None:
             self.obs.incr("faultsim.good_cache_hits")

@@ -8,6 +8,7 @@ import pytest
 from repro import (
     SCHEMA_VERSION,
     GreedyConfig,
+    InvalidRequestError,
     SimplifyRequest,
     UnsupportedSchemaVersionError,
 )
@@ -65,7 +66,6 @@ def test_greedy_config_mirror():
         pow2_es=True,
         redundancy_prepass=True,
         prepass_backtrack_limit=77,
-        engine="python",
     )
     cfg = req.greedy_config("area")
     assert cfg == GreedyConfig(
@@ -83,7 +83,6 @@ def test_greedy_config_mirror():
         pow2_es=True,
         redundancy_prepass=True,
         prepass_backtrack_limit=77,
-        engine="python",
     )
     # "best" is a policy, not a greedy FOM: it resolves to a real one
     assert req.greedy_config().fom == "area_per_rs"
@@ -174,3 +173,22 @@ def test_replace_revalidates():
     assert req.replace(seed=42).seed == 42
     with pytest.raises(ValueError):
         req.replace(fom="bogus")
+
+
+@pytest.mark.parametrize("engine", ["auto", "compiled", "python", None])
+def test_legacy_engine_field_is_dropped(engine):
+    """Stored requests from builds with a simulation-engine switch still
+    load: a once-valid ``engine`` is dropped and does not move the
+    fingerprint (the compiled kernel was bit-identical to every
+    engine it replaced)."""
+    data = SimplifyRequest(rs_pct_threshold=2.0, seed=3).to_dict()
+    legacy = SimplifyRequest.from_json(json.dumps({**data, "engine": engine}))
+    assert legacy == SimplifyRequest.from_dict(data)
+    assert legacy.fingerprint() == SimplifyRequest.from_dict(data).fingerprint()
+    assert "engine" not in legacy.to_dict()
+
+
+def test_legacy_engine_field_still_validated():
+    data = SimplifyRequest(rs_pct_threshold=2.0).to_dict()
+    with pytest.raises(InvalidRequestError, match="engine"):
+        SimplifyRequest.from_dict({**data, "engine": "turbo"})

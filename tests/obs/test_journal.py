@@ -214,19 +214,9 @@ def _run_c17(tmp_path):
 
 
 def _normalized(events):
-    out = []
-    for ev in events:
-        ev = {k: v for k, v in ev.items() if k not in VOLATILE_KEYS}
-        if isinstance(ev.get("config"), dict):
-            # The journaled config records the *resolved* engine, which
-            # depends on REPRO_ENGINE at run time.  Both engines are
-            # bit-identical (see tests/simulation/test_engine_equivalence),
-            # so the golden stays engine-agnostic.
-            ev["config"] = {
-                k: v for k, v in ev["config"].items() if k != "engine"
-            }
-        out.append(ev)
-    return out
+    return [
+        {k: v for k, v in ev.items() if k not in VOLATILE_KEYS} for ev in events
+    ]
 
 
 def test_c17_journal_matches_golden(tmp_path):

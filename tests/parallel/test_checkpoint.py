@@ -14,12 +14,10 @@ import subprocess
 import sys
 import textwrap
 import time
-from dataclasses import replace
 
 import pytest
 
 from repro import GreedyConfig, circuit_simplify, dumps_bench
-from repro.simulation import resolve_engine
 from repro.obs import Instrumentation
 from repro.parallel import (
     CheckpointError,
@@ -141,8 +139,33 @@ def test_resume_from_adopts_checkpoint_config(adder, reference, tmp_path):
         _truncate_after_iterations(ckpt, 1)
     res = resume_from(adder, ckpt)  # no config given: header's is used
     _assert_identical(res, reference)
-    # The header stores the *resolved* engine, which the resume adopts.
-    assert res.config == replace(_CFG, engine=resolve_engine(_CFG.engine))
+    assert res.config == _CFG
+
+
+@pytest.mark.parametrize("with_config", [False, True])
+def test_legacy_engine_header_resumes_identically(
+    adder, reference, tmp_path, with_config
+):
+    """Checkpoints from builds with a simulation-engine switch journal
+    ``"engine"`` in the header config; they still resume, with or
+    without an explicit config, to the uninterrupted result."""
+    ckpt = tmp_path / "legacy.jsonl"
+    _run(adder, checkpoint=str(ckpt))
+    _truncate_after_iterations(ckpt, 1)
+    with open(ckpt) as fh:
+        lines = fh.readlines()
+    header = json.loads(lines[0])
+    assert header["event"] == "run_start" and "engine" not in header["config"]
+    header["config"]["engine"] = "python"
+    lines[0] = json.dumps(header, sort_keys=True) + "\n"
+    with open(ckpt, "w") as fh:
+        fh.writelines(lines)
+    if with_config:
+        res = _run(adder, checkpoint=str(ckpt))
+    else:
+        res = resume_from(adder, ckpt)
+    _assert_identical(res, reference)
+    assert res.config == _CFG
 
 
 def test_resume_with_prepass_checkpoint(tmp_path):
@@ -368,48 +391,24 @@ def test_sigkill_and_resume_matches_uninterrupted(tmp_path):
         assert state.resumes == 1
 
 
-_CHILD_COMPILED = textwrap.dedent(
-    """
-    import sys
-    from repro import GreedyConfig, circuit_simplify
+def test_sigkill_run_resumes_from_journaled_config(tmp_path):
+    """SIGKILL a run after its first commit, then resume with no config:
+    the config journaled in the header must carry the run on to the
+    uninterrupted fault sequence."""
     from repro.benchlib import ISCAS85_SUITE
-
-    ckpt = sys.argv[1]
-    circuit = ISCAS85_SUITE["c880"].builder()
-    cfg = GreedyConfig(num_vectors=1000, seed=0, candidate_limit=40,
-                       max_iterations=6, atpg_node_limit=400,
-                       engine="compiled")
-    circuit_simplify(circuit, rs_pct_threshold=2.0, config=cfg,
-                     checkpoint=ckpt)
-    """
-)
-
-
-def test_sigkill_compiled_run_resumes_with_journaled_engine(
-    tmp_path, monkeypatch
-):
-    """SIGKILL a compiled-engine run, then resume in an environment
-    that prefers the python engine: the resume must adopt the engine
-    recorded in the journal header (``compiled``) and still reproduce
-    the serial python-engine fault sequence -- the engines are
-    bit-identical, so the trajectory cannot depend on which one the
-    journal pins."""
-    from repro.benchlib import ISCAS85_SUITE
-    from repro.simulation.compiled import ENGINE_ENV
 
     circuit = ISCAS85_SUITE["c880"].builder()
     cfg = GreedyConfig(
         num_vectors=1000, seed=0, candidate_limit=40,
-        max_iterations=6, atpg_node_limit=400, engine="python",
+        max_iterations=6, atpg_node_limit=400,
     )
     reference = circuit_simplify(circuit, rs_pct_threshold=2.0, config=cfg)
     assert len(reference.iterations) >= 2, "need a multi-commit run to kill"
 
     ckpt = tmp_path / "killed.jsonl"
     script = tmp_path / "child.py"
-    script.write_text(_CHILD_COMPILED)
+    script.write_text(_CHILD)
     env = dict(os.environ)
-    env.pop(ENGINE_ENV, None)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (os.path.abspath("src"), env.get("PYTHONPATH")) if p
     )
@@ -436,11 +435,8 @@ def test_sigkill_compiled_run_resumes_with_journaled_engine(
             child.kill()
             child.wait(timeout=30)
 
-    # resume with no config in a python-preferring environment: the
-    # journal header's resolved engine must win over REPRO_ENGINE
-    monkeypatch.setenv(ENGINE_ENV, "python")
     resumed = resume_from(circuit, ckpt)
-    assert resumed.config.engine == "compiled"
+    assert resumed.config == cfg
     _assert_identical(resumed, reference)
     state = load_checkpoint(ckpt)
     assert state.complete

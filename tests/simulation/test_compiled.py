@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.benchlib import random_circuit
-from repro.circuit import CircuitBuilder, CircuitError, GateType, evaluate
+from repro.circuit import CircuitBuilder, GateType, evaluate
 from repro.faults import StuckAtFault, enumerate_faults
 from repro.obs import Instrumentation
 from repro.simulation import (
@@ -22,11 +22,8 @@ from repro.simulation import (
     circuit_fingerprint,
     compile_program,
     exhaustive_vectors,
-    make_simulator,
     random_vectors,
-    resolve_engine,
 )
-from repro.simulation.compiled import ENGINE_ENV
 
 ALL_TYPES = (
     GateType.AND,
@@ -176,7 +173,7 @@ def test_input_shape_validated():
 
 
 # ----------------------------------------------------------------------
-# program cache + engine resolution
+# program cache
 # ----------------------------------------------------------------------
 
 def test_fingerprint_is_structural():
@@ -207,54 +204,13 @@ def test_program_cache_shared_across_instances():
     assert sim.num_signals == len(list(ckt.signals()))
 
 
-def test_resolve_engine(monkeypatch):
-    monkeypatch.delenv(ENGINE_ENV, raising=False)
-    assert resolve_engine(None) == "compiled"
-    assert resolve_engine("auto") == "compiled"
-    assert resolve_engine("python") == "python"
-    monkeypatch.setenv(ENGINE_ENV, "python")
-    assert resolve_engine(None) == "python"
-    assert resolve_engine("compiled") == "compiled"  # explicit beats env
-    with pytest.raises(ValueError):
-        resolve_engine("turbo")
-    monkeypatch.setenv(ENGINE_ENV, "bogus")
-    with pytest.raises(ValueError):
-        resolve_engine(None)
-
-
-def test_make_simulator_fallback(monkeypatch):
-    """A compile failure degrades to the python engine, with a counter;
-    a structurally invalid netlist still raises on both engines."""
-    import repro.simulation.compiled as mod
-
-    ckt = random_circuit(num_inputs=3, num_gates=5,
-                         rng=np.random.default_rng(1))
-
-    def boom(circuit, obs=None):
-        raise RuntimeError("synthetic compile failure")
-
-    monkeypatch.setattr(mod, "compile_program", boom)
-    obs = Instrumentation()
-    sim, engine = mod.make_simulator(ckt, "compiled", obs)
-    assert engine == "python"
-    assert isinstance(sim, LogicSimulator)
-    assert obs.snapshot()["counters"]["kernel.fallbacks"] == 1
-
-    def structural(circuit, obs=None):
-        raise CircuitError("bad netlist")
-
-    monkeypatch.setattr(mod, "compile_program", structural)
-    with pytest.raises(CircuitError):
-        mod.make_simulator(ckt, "compiled", obs)
-
-
 # ----------------------------------------------------------------------
-# program-cache sizing (REPRO_PROGRAM_CACHE) and eviction accounting
+# program-cache bound and eviction accounting
 # ----------------------------------------------------------------------
-def test_program_cache_env_bounds_entries_and_counts_evictions(monkeypatch):
+def test_program_cache_bounds_entries_and_counts_evictions(monkeypatch):
     from repro.simulation import compiled as mod
 
-    monkeypatch.setenv(mod.PROGRAM_CACHE_ENV, "2")
+    monkeypatch.setattr(mod, "_PROGRAM_CACHE_MAX", 2)
     monkeypatch.setattr(mod, "_PROGRAM_CACHE", type(mod._PROGRAM_CACHE)())
     obs = Instrumentation()
     rng = np.random.default_rng(5)
@@ -268,27 +224,34 @@ def test_program_cache_env_bounds_entries_and_counts_evictions(monkeypatch):
 
 
 def test_program_cache_env_default_and_blank(monkeypatch):
+    """The bound is the constant 64 whether the retired
+    REPRO_PROGRAM_CACHE setting is unset, blank or a valid size."""
     from repro.simulation import compiled as mod
 
-    monkeypatch.delenv(mod.PROGRAM_CACHE_ENV, raising=False)
-    assert mod._program_cache_max() == mod._PROGRAM_CACHE_DEFAULT_MAX == 64
-    monkeypatch.setenv(mod.PROGRAM_CACHE_ENV, "  ")
-    assert mod._program_cache_max() == 64
-    monkeypatch.setenv(mod.PROGRAM_CACHE_ENV, "128")
-    assert mod._program_cache_max() == 128
+    ckt = random_circuit(num_inputs=3, num_gates=5,
+                         rng=np.random.default_rng(9))
+    monkeypatch.delenv("REPRO_PROGRAM_CACHE", raising=False)
+    assert mod._PROGRAM_CACHE_MAX == 64
+    assert not hasattr(mod, "_program_cache_max")
+    for stale in ("  ", "128"):
+        monkeypatch.setenv("REPRO_PROGRAM_CACHE", stale)
+        assert compile_program(ckt).num_inputs == 3
+        assert mod._PROGRAM_CACHE_MAX == 64
 
 
 @pytest.mark.parametrize("bad", ["0", "-3", "many", "1.5"])
 def test_program_cache_env_rejects_non_positive(monkeypatch, bad):
+    """A stale malformed REPRO_PROGRAM_CACHE value is not adopted: it
+    neither raises at compile time nor moves the bound off 64."""
     from repro.simulation import compiled as mod
 
-    monkeypatch.setenv(mod.PROGRAM_CACHE_ENV, bad)
-    with pytest.raises(ValueError, match=mod.PROGRAM_CACHE_ENV):
-        mod._program_cache_max()
-    ckt = random_circuit(num_inputs=3, num_gates=5,
-                         rng=np.random.default_rng(9))
-    with pytest.raises(ValueError, match=mod.PROGRAM_CACHE_ENV):
-        compile_program(ckt)
+    monkeypatch.setenv("REPRO_PROGRAM_CACHE", bad)
+    monkeypatch.setattr(mod, "_PROGRAM_CACHE", type(mod._PROGRAM_CACHE)())
+    rng = np.random.default_rng(9)
+    for _ in range(3):
+        compile_program(random_circuit(num_inputs=3, num_gates=5, rng=rng))
+    assert mod._PROGRAM_CACHE_MAX == 64
+    assert len(mod._PROGRAM_CACHE) == 3
 
 
 # ----------------------------------------------------------------------

@@ -1,13 +1,12 @@
-"""Golden equivalence suite: compiled engine vs python engine.
+"""Golden equivalence suite: the production simulators vs the reference.
 
-The compiled whole-netlist kernel must be **bit-identical** to the
-per-gate python interpreter -- same packed words for every signal,
-same differential fault statistics (including drop decisions and
-``words_simulated`` bookkeeping), the same committed fault sequence,
-and the same final netlist when driving a full ``circuit_simplify``
-run.  Mirrors the serial-vs-parallel golden pattern in
-``tests/parallel/test_pool.py``: the python path is the reference, the
-compiled path must never be allowed to drift from it.
+The compiled whole-netlist kernel and the fault simulators built on it
+must be **bit-identical** to the per-gate :class:`LogicSimulator`,
+which serves as the reference oracle here -- same packed words for
+every signal, same differential fault statistics (including drop
+decisions and ``words_simulated`` bookkeeping).  The greedy end-to-end
+runs are pinned as literal trajectories, captured from the per-gate
+reference path, so the committed fault sequence can never drift.
 """
 
 import numpy as np
@@ -15,12 +14,12 @@ import pytest
 
 from repro import GreedyConfig, SimplifyRequest, circuit_simplify, dumps_bench
 from repro.benchlib import ISCAS85_SUITE
-from repro.faults import StuckAtFault, enumerate_faults
+from repro.faults import enumerate_faults
 from repro.simulation import (
     BatchFaultSimulator,
+    CompiledSimulator,
     FaultSimulator,
     LogicSimulator,
-    make_simulator,
     random_vectors,
 )
 from tests.conftest import build_c17
@@ -55,14 +54,29 @@ def _sample_faults(circuit, rng, limit=60):
     return sample
 
 
+def _reference(circuit, vectors, faults):
+    """Per-vector detection and signed weighted deviation, computed by
+    comparing two :class:`LogicSimulator` runs (good vs faulty)."""
+    sim = LogicSimulator(circuit)
+    good, faulty = sim.run(vectors), sim.run(vectors, faults)
+    detected = (
+        good.output_bits(circuit.outputs) != faulty.output_bits(circuit.outputs)
+    ).any(axis=1)
+    values = circuit.data_outputs or circuit.outputs
+    weights = [int(circuit.output_weights.get(o, 1)) for o in values]
+    delta = faulty.output_bits(values).astype(int) - good.output_bits(values)
+    deviations = [
+        sum(w * int(d) for w, d in zip(weights, row)) for row in delta
+    ]
+    return detected, deviations
+
+
 def test_good_sim_words_identical(bench):
     """Good-value simulation: every signal, word-for-word equal."""
     rng = np.random.default_rng(7)
     vectors = random_vectors(len(bench.inputs), 130, rng)  # ragged 3rd word
     py = LogicSimulator(bench).run(vectors)
-    compiled, engine = make_simulator(bench, "compiled")
-    assert engine == "compiled"
-    cm = compiled.run(vectors)
+    cm = CompiledSimulator(bench).run(vectors)
     for s in bench.signals():
         assert np.array_equal(py.words_for(s), cm.words_for(s)), s
 
@@ -72,7 +86,7 @@ def test_single_fault_sim_identical(bench):
     rng = np.random.default_rng(11)
     vectors = random_vectors(len(bench.inputs), 130, rng)
     py = LogicSimulator(bench)
-    compiled, _ = make_simulator(bench, "compiled")
+    compiled = CompiledSimulator(bench)
     for fault in _sample_faults(bench, rng):
         a = py.run(vectors, [fault])
         b = compiled.run(vectors, [fault])
@@ -86,107 +100,117 @@ def test_multi_fault_sim_identical(bench):
     vectors = random_vectors(len(bench.inputs), 200, rng)
     faults = _sample_faults(bench, rng, limit=40)[:7]
     py = LogicSimulator(bench).run(vectors, faults)
-    compiled, _ = make_simulator(bench, "compiled")
-    cm = compiled.run(vectors, faults)
+    cm = CompiledSimulator(bench).run(vectors, faults)
     for s in bench.signals():
         assert np.array_equal(py.words_for(s), cm.words_for(s)), s
 
 
 def test_differential_fault_sim_identical(bench):
-    """FaultSimulator: ER, deviations and detection masks match."""
+    """FaultSimulator: detection masks and deviations match the
+    reference good/faulty comparison."""
     rng = np.random.default_rng(17)
     vectors = random_vectors(len(bench.inputs), 130, rng)
-    py = FaultSimulator(bench, engine="python")
-    cm = FaultSimulator(bench, engine="compiled")
-    assert (py.engine, cm.engine) == ("python", "compiled")
+    fsim = FaultSimulator(bench)
     for fault in _sample_faults(bench, rng, limit=25):
-        a = py.differential(vectors, [fault])
-        b = cm.differential(vectors, [fault])
-        assert a.error_rate == b.error_rate, fault
-        assert a.max_abs_deviation == b.max_abs_deviation, fault
-        assert a.deviations == b.deviations, fault
-        assert np.array_equal(a.detected, b.detected), fault
+        detected, deviations = _reference(bench, vectors, [fault])
+        d = fsim.differential(vectors, [fault])
+        assert np.array_equal(d.detected, detected), fault
+        assert d.deviations == deviations, fault
+        assert d.error_rate == np.count_nonzero(detected) / len(vectors), fault
+        assert d.max_abs_deviation == max(abs(v) for v in deviations), fault
 
 
 def test_batch_ppsfp_identical(bench):
-    """PPSFP batch evaluation: full stats for every enumerated fault."""
+    """PPSFP batch evaluation: full stats for every sampled fault."""
     rng = np.random.default_rng(19)
     vectors = random_vectors(len(bench.inputs), 130, rng)
     faults = _sample_faults(bench, rng, limit=80)
-    stats = {}
-    for engine in ("python", "compiled"):
-        batch = BatchFaultSimulator(bench, engine=engine)
-        assert batch.engine == engine
-        batch.load_batch(vectors)
-        stats[engine] = batch.evaluate(faults, detailed=True)
-    for f, a, b in zip(faults, stats["python"], stats["compiled"]):
-        assert a.error_rate == b.error_rate, f
-        assert a.max_abs_deviation == b.max_abs_deviation, f
-        assert a.deviations == b.deviations, f
-        assert np.array_equal(a.detected, b.detected), f
+    batch = BatchFaultSimulator(bench)
+    batch.load_batch(vectors)
+    for f, st in zip(faults, batch.evaluate(faults, detailed=True)):
+        detected, deviations = _reference(bench, vectors, [f])
+        assert np.array_equal(st.detected, detected), f
+        assert st.deviations == deviations, f
+        assert st.detected_count == np.count_nonzero(detected), f
+        assert st.max_abs_deviation == max(abs(v) for v in deviations), f
+        assert st.sum_abs_deviation == sum(abs(v) for v in deviations), f
+        assert not st.dropped and st.words_simulated == batch._w, f
+
+
+def _expected_drop(detected, deviations, threshold):
+    """Replay the one-word-chunk drop rule on reference data: the
+    running ``(detected / n) * max_dev`` at each word boundary."""
+    n = len(deviations)
+    words = -(-n // 64)
+    count = max_dev = 0
+    for w in range(words):
+        lo, hi = 64 * w, min(n, 64 * (w + 1))
+        count += int(np.count_nonzero(detected[lo:hi]))
+        max_dev = max([max_dev] + [abs(v) for v in deviations[lo:hi]])
+        if (count / n) * max_dev > threshold:
+            return w + 1 < words, w + 1, count, max_dev
+    return False, words, count, max_dev
 
 
 def test_batch_fault_dropping_identical(bench):
-    """Drop decisions happen at the same word for both engines."""
+    """Drop decisions happen at the word the reference data predicts."""
     rng = np.random.default_rng(23)
     vectors = random_vectors(len(bench.inputs), 300, rng)
     faults = _sample_faults(bench, rng, limit=40)
-    results = {}
-    for engine in ("python", "compiled"):
-        batch = BatchFaultSimulator(bench, engine=engine)
-        batch.load_batch(vectors)
-        results[engine] = batch.evaluate(
-            faults, rs_drop_threshold=0.5, chunk_words=1
-        )
-    for f, a, b in zip(faults, results["python"], results["compiled"]):
-        assert a.dropped == b.dropped, f
-        assert a.words_simulated == b.words_simulated, f
-        assert a.detected_count == b.detected_count, f
-        assert a.max_abs_deviation == b.max_abs_deviation, f
+    batch = BatchFaultSimulator(bench)
+    batch.load_batch(vectors)
+    stats = batch.evaluate(faults, rs_drop_threshold=0.5, chunk_words=1)
+    for f, st in zip(faults, stats):
+        expected = _expected_drop(*_reference(bench, vectors, [f]), 0.5)
+        got = (st.dropped, st.words_simulated, st.detected_count,
+               st.max_abs_deviation)
+        assert got == expected, f
 
 
-def _run_both(circuit, **cfg_kw):
-    out = {}
-    for engine in ("python", "compiled"):
-        cfg = GreedyConfig(engine=engine, **cfg_kw)
-        out[engine] = circuit_simplify(circuit, rs_pct_threshold=10.0, config=cfg)
-    return out["python"], out["compiled"]
+# (fault, area_after, ER) per committed iteration, rs_pct_threshold=10,
+# captured from the per-gate reference simulation path.
+_TRAJECTORIES = {
+    "c17": [("G1 SA0", 9, 0.1875)],
+    "c880": [
+        ("and_60 SA1", 777, 0.365),
+        ("res_1 SA0", 746, 0.6075),
+        ("and_72 SA1", 711, 0.6725),
+    ],
+}
+
+_C17_SIMPLIFIED = (
+    "# c17\nINPUT(G1)\nINPUT(G2)\nINPUT(G3)\nINPUT(G6)\nINPUT(G7)\n"
+    "OUTPUT(G22)\nOUTPUT(G23)\nG11 = NAND(G3, G6)\nG16 = NAND(G2, G11)\n"
+    "G22 = NOT(G16)\nG19 = NAND(G11, G7)\nG23 = NAND(G16, G19)\n"
+)
 
 
 @pytest.mark.parametrize("name", ["c17", "c880"])
 def test_end_to_end_simplify_identical(name):
-    """Full greedy runs commit the identical fault sequence and reach
-    the identical final netlist and metrics under either engine."""
-    circuit = _build(name)
+    """Full greedy runs commit the pinned fault sequence, area
+    trajectory and per-iteration ER."""
     kw = dict(num_vectors=400, seed=0, candidate_limit=25, max_iterations=3)
     if name == "c17":
         kw = dict(num_vectors=400, seed=0, exhaustive=True)
-    py, cm = _run_both(circuit, **kw)
-    assert (py.config.engine, cm.config.engine) == ("python", "compiled")
-    assert [str(f) for f in py.faults] == [str(f) for f in cm.faults]
-    assert dumps_bench(py.simplified) == dumps_bench(cm.simplified)
-    assert py.final_metrics.er == cm.final_metrics.er
-    assert py.final_metrics.rs == cm.final_metrics.rs
-    assert len(py.iterations) == len(cm.iterations)
-    for a, b in zip(py.iterations, cm.iterations):
-        assert str(a.fault) == str(b.fault)
-        assert a.metrics.er == b.metrics.er
-        assert a.area_after == b.area_after
+    res = circuit_simplify(
+        _build(name), rs_pct_threshold=10.0, config=GreedyConfig(**kw)
+    )
+    got = [(str(it.fault), it.area_after, it.metrics.er) for it in res.iterations]
+    assert got == _TRAJECTORIES[name]
+    assert [str(f) for f in res.faults] == [t[0] for t in _TRAJECTORIES[name]]
+    assert res.final_metrics.er == _TRAJECTORIES[name][-1][2]
+    if name == "c17":
+        assert dumps_bench(res.simplified) == _C17_SIMPLIFIED
 
 
 def test_simplify_outcome_identical_via_request():
-    """The SimplifyRequest surface: same outcome under both engines."""
-    circuit = build_c17()
-    outcomes = {}
-    for engine in ("python", "compiled"):
-        req = SimplifyRequest(
-            rs_pct_threshold=10.0, fom="area", num_vectors=400, seed=0,
-            exhaustive=True, engine=engine,
-        )
-        outcomes[engine] = req.run(circuit)
-    py, cm = outcomes["python"], outcomes["compiled"]
-    assert [str(f) for f in py.faults] == [str(f) for f in cm.faults]
-    assert dumps_bench(py.simplified) == dumps_bench(cm.simplified)
-    assert py.area_reduction == cm.area_reduction
-    assert py.final_metrics.rs == cm.final_metrics.rs
-    assert py.winning_fom == cm.winning_fom
+    """The SimplifyRequest surface reaches the pinned c17 outcome."""
+    out = SimplifyRequest(
+        rs_pct_threshold=10.0, fom="area", num_vectors=400, seed=0,
+        exhaustive=True,
+    ).run(build_c17())
+    assert [str(f) for f in out.faults] == ["G1 SA0"]
+    assert dumps_bench(out.simplified) == _C17_SIMPLIFIED
+    assert out.area_reduction == 3
+    assert out.final_metrics.rs == 0.1875
+    assert out.winning_fom == "area"

@@ -143,31 +143,3 @@ def test_big_weight_exact_path():
     d = fs.estimate([StuckAtFault.stem(c.outputs[3], 0)], exhaustive=True)
     assert d.max_abs_deviation == 1 << 63
 
-
-def test_good_cache_keyed_by_engine(adder4, rng):
-    """Switching engines must never serve the other engine's cached
-    good result: a SimResult indexes signals through the simulator that
-    produced it, and the two engines use different signal indexing.
-    Regression test for the content-keyed cache ignoring the engine."""
-    from repro.obs import Instrumentation
-    from repro.simulation import random_vectors
-
-    obs = Instrumentation()
-    fs = FaultSimulator(adder4, obs=obs, engine="compiled")
-    vecs = random_vectors(len(adder4.inputs), 96, rng)
-    first = fs.good_result(vecs)
-    again = fs.good_result(vecs)
-    assert again is first  # same engine, same content: a true hit
-
-    assert fs.set_engine("python") == "python"
-    switched = fs.good_result(vecs)  # same content, other engine: miss
-    assert switched is not first
-    counters = obs.snapshot()["counters"]
-    assert counters["faultsim.good_cache_hits"] == 1
-    assert counters["faultsim.good_cache_misses"] == 2
-    # the values themselves are still bit-identical across engines
-    for o in adder4.outputs:
-        assert np.array_equal(first.words_for(o), switched.words_for(o))
-    # a no-op switch keeps the simulator (and its cache keys) intact
-    assert fs.set_engine("python") == "python"
-    assert fs.good_result(vecs) is switched
