@@ -17,8 +17,8 @@ from typing import Dict, Optional
 import numpy as np
 
 from ..circuit import Circuit
-from ..simulation.logicsim import LogicSimulator
-from ..simulation.vectors import random_vectors
+from ..simulation.compiled import CompiledSimulator
+from ..simulation.vectors import popcount_words, random_vectors
 
 __all__ = ["PowerEstimate", "estimate_switching"]
 
@@ -52,19 +52,15 @@ def estimate_switching(
     uses (fanout + 1) as the load proxy.
     """
     rng = rng or np.random.default_rng(seed)
-    sim = LogicSimulator(circuit)
+    sim = CompiledSimulator(circuit)
     a = sim.run(random_vectors(len(circuit.inputs), num_pairs, rng))
     b = sim.run(random_vectors(len(circuit.inputs), num_pairs, rng))
     fan = circuit.fanout_map()
     activity: Dict[str, float] = {}
     weighted = 0.0
     for s in circuit.signals():
-        va = a.words_for(s)
-        vb = b.words_for(s)
-        diff = np.bitwise_xor(va, vb)
-        toggles = int(sum(bin(int(w)).count("1") for w in diff))
-        # mask padding bits in the final word
-        rate = min(1.0, toggles / num_pairs)
+        toggles = popcount_words(np.bitwise_xor(a.words_for(s), b.words_for(s)))
+        rate = toggles / num_pairs
         activity[s] = rate
         load = len(fan.get(s, ())) + 1
         weighted += rate * load

@@ -6,7 +6,7 @@ acceptable, so manufacturing test only needs vectors for the faults
 with ER *above* the threshold.  This module provides that flow:
 
 * :func:`estimate_fault_er` -- per-fault ER estimates over a shared
-  random batch, computed with the bit-parallel differential simulator;
+  random batch, computed with the batch fault simulator;
 * :func:`generate_er_tests` -- a compact test set detecting every
   fault whose estimated ER exceeds the threshold, built by greedy
   set-cover over a candidate vector pool (the classic random-pattern +
@@ -26,8 +26,8 @@ import numpy as np
 from ..circuit import Circuit
 from ..faults.collapse import collapse_faults
 from ..faults.model import StuckAtFault, enumerate_faults
-from ..simulation.logicsim import LogicSimulator
-from ..simulation.vectors import pack_vectors, random_vectors
+from ..simulation.batchfaultsim import BatchFaultSimulator
+from ..simulation.vectors import random_vectors
 
 __all__ = ["ErTestSet", "estimate_fault_er", "generate_er_tests"]
 
@@ -41,21 +41,10 @@ def estimate_fault_er(
     """Estimate each fault's error rate over one shared random batch."""
     if faults is None:
         faults = enumerate_faults(circuit)
-    sim = LogicSimulator(circuit)
     vecs = random_vectors(len(circuit.inputs), num_vectors, np.random.default_rng(seed))
-    packed = pack_vectors(vecs)
-    good = sim.run_packed(packed, num_vectors)
-    good_words = [good.words_for(o) for o in circuit.outputs]
-    out: Dict[StuckAtFault, float] = {}
-    for f in faults:
-        res = sim.run_packed(packed, num_vectors, [f])
-        detect = None
-        for row, o in zip(good_words, circuit.outputs):
-            diff = np.bitwise_xor(row, res.words_for(o))
-            detect = diff if detect is None else np.bitwise_or(detect, diff)
-        count = int(sum(bin(int(w)).count("1") for w in detect))
-        out[f] = count / num_vectors
-    return out
+    batch = BatchFaultSimulator(circuit)
+    batch.load_batch(vecs)
+    return {st.fault: st.error_rate for st in batch.evaluate(faults)}
 
 
 @dataclass
@@ -110,62 +99,42 @@ def generate_er_tests(
     """Build a test set for the faults whose ER exceeds the threshold.
 
     The candidate pool is simulated once per (collapsed) fault with the
-    bit-parallel simulator; ER estimates fall out of the same detection
+    batch fault simulator; ER estimates fall out of the same detection
     masks; vectors are then chosen greedily until every above-threshold
     fault is covered (or the pool/`max_tests` is exhausted).
     """
     if not 0.0 <= er_threshold < 1.0:
         raise ValueError("er_threshold must be in [0, 1)")
-    sim = LogicSimulator(circuit)
     rng = np.random.default_rng(seed)
     vecs = random_vectors(len(circuit.inputs), num_candidates, rng)
-    packed = pack_vectors(vecs)
-    good = sim.run_packed(packed, num_candidates)
-    good_words = {o: good.words_for(o) for o in circuit.outputs}
 
     if collapse:
         fault_list = collapse_faults(circuit).representatives
     else:
         fault_list = enumerate_faults(circuit)
 
-    masks: List[Tuple[StuckAtFault, np.ndarray]] = []
-    fault_er: Dict[StuckAtFault, float] = {}
-    for f in fault_list:
-        res = sim.run_packed(packed, num_candidates, [f])
-        detect = None
-        for o in circuit.outputs:
-            diff = np.bitwise_xor(good_words[o], res.words_for(o))
-            detect = diff if detect is None else np.bitwise_or(detect, diff)
-        count = int(sum(bin(int(w)).count("1") for w in detect))
-        er = count / num_candidates
-        fault_er[f] = er
-        if er > er_threshold:
-            masks.append((f, detect))
-
-    targets = [f for f, _ in masks]
+    batch = BatchFaultSimulator(circuit)
+    batch.load_batch(vecs)
+    stats = batch.evaluate(fault_list, detailed=True)
+    fault_er = {st.fault: st.error_rate for st in stats}
+    hits = [st for st in stats if st.error_rate > er_threshold]
+    targets = [st.fault for st in hits]
+    # detects[k, v]: candidate vector v detects target k
+    detects = np.array([st.detected for st in hits], dtype=bool).reshape(
+        len(hits), num_candidates
+    )
     chosen: List[int] = []
-    uncovered = list(range(len(masks)))
+    uncovered = np.ones(len(targets), dtype=bool)
     # greedy cover: repeatedly take the vector detecting the most
     # still-uncovered targets
-    while uncovered and (max_tests is None or len(chosen) < max_tests):
-        # per-vector tally over uncovered targets
-        tally = np.zeros(num_candidates, dtype=np.int32)
-        for k in uncovered:
-            bits = np.unpackbits(
-                masks[k][1].view(np.uint8), bitorder="little"
-            )[:num_candidates]
-            tally += bits
+    while uncovered.any() and (max_tests is None or len(chosen) < max_tests):
+        tally = detects[uncovered].sum(axis=0)
         best = int(tally.argmax())
         if tally[best] == 0:
             break
         chosen.append(best)
-        word, bit = best // 64, best % 64
-        uncovered = [
-            k
-            for k in uncovered
-            if not (int(masks[k][1][word]) >> bit) & 1
-        ]
-    covered = len(targets) - len(uncovered)
+        uncovered &= ~detects[:, best]
+    covered = len(targets) - int(uncovered.sum())
     return ErTestSet(
         vectors=vecs[chosen] if chosen else np.zeros((0, len(circuit.inputs)), dtype=bool),
         er_threshold=er_threshold,

@@ -425,8 +425,8 @@ class EsAtpg:
 
         The weighted deviation is a function of the support PIs only
         (non-support inputs cannot reach any affected output), so
-        enumerating 2**|support| vectors with the bit-parallel
-        simulator yields the *exact* ES.  Only the relevant cones are
+        enumerating 2**|support| vectors on the compiled kernel
+        yields the *exact* ES.  Only the relevant cones are
         simulated (extracted with :func:`~repro.circuit.structure.subcircuit`)
         and memory is bounded by chunking the batch.  Intended for
         supports of ~22 PIs or fewer.
@@ -435,7 +435,7 @@ class EsAtpg:
 
         from ..circuit.gates import ALL_ONES
         from ..circuit.structure import subcircuit
-        from ..simulation.logicsim import LogicSimulator
+        from ..simulation.compiled import CompiledSimulator
         from ..simulation.vectors import num_words
 
         s = len(self.support)
@@ -445,8 +445,8 @@ class EsAtpg:
         fault_signals = [f.line.signal for f in self.faults]
         good_cone = subcircuit(self.good, self.affected_outputs)
         faulty_cone = subcircuit(self.faulty, list(faulty_names) + fault_signals)
-        good_sim = LogicSimulator(good_cone)
-        faulty_sim = LogicSimulator(faulty_cone)
+        good_sim = CompiledSimulator(good_cone, obs=self.obs)
+        faulty_sim = CompiledSimulator(faulty_cone, obs=self.obs)
         pi_index = {pi: k for k, pi in enumerate(self.good.inputs)}
         support_idx = [pi_index[pi] for pi in self.support]
         weights = [self.weights[o] for o in self.affected_outputs]

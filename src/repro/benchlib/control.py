@@ -43,7 +43,7 @@ def control_pla(
         state = (1103515245 * state + 12345) & 0x7FFFFFFF
         return state % bound
 
-    inverted = {s: b.NOT(s, name=b.fresh(f"{prefix}_n")) for s in set(inputs)}
+    inverted = {s: b.NOT(s, name=b.fresh(f"{prefix}_n")) for s in dict.fromkeys(inputs)}
     planes: List[List[str]] = [[] for _ in range(outputs)]
     for t in range(terms):
         lits: List[str] = []

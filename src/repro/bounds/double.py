@@ -34,7 +34,7 @@ from ..circuit import Circuit
 from ..circuit.structure import fanout_disjoint, transitive_fanout
 from ..faults.model import StuckAtFault
 from ..simulation.faultsim import FaultSimulator
-from ..simulation.logicsim import LogicSimulator
+from ..simulation.compiled import CompiledSimulator
 from .parity import Parity, parity_profile
 
 __all__ = [
@@ -68,7 +68,7 @@ def lemma2_w(
     fault_i: StuckAtFault,
     fault_j: StuckAtFault,
     vectors: np.ndarray,
-    simulator: Optional[LogicSimulator] = None,
+    simulator: Optional[CompiledSimulator] = None,
 ) -> int:
     """The W term of Lemma 2.
 
@@ -83,7 +83,7 @@ def lemma2_w(
     property-based tests exhibit double faults that violate the bound
     under the laxer reading.)
     """
-    sim = simulator or LogicSimulator(circuit)
+    sim = simulator or CompiledSimulator(circuit)
     prof_i = parity_profile(circuit, fault_i, vectors, sim)
     prof_j = parity_profile(circuit, fault_j, vectors, sim)
     tfo_i = transitive_fanout(circuit, fault_i.line.signal, include_self=True)

@@ -21,7 +21,7 @@ import numpy as np
 
 from ..circuit import Circuit
 from ..faults.model import StuckAtFault
-from ..simulation.logicsim import LogicSimulator
+from ..simulation.compiled import CompiledSimulator
 
 __all__ = ["Parity", "fault_parity", "parity_profile"]
 
@@ -40,7 +40,7 @@ def fault_parity(
     fault: StuckAtFault,
     output: str,
     vectors: np.ndarray,
-    simulator: Optional[LogicSimulator] = None,
+    simulator: Optional[CompiledSimulator] = None,
 ) -> Parity:
     """Parity of ``fault`` at ``output`` over a vector batch."""
     return parity_profile(circuit, fault, vectors, simulator)[output]
@@ -50,10 +50,10 @@ def parity_profile(
     circuit: Circuit,
     fault: StuckAtFault,
     vectors: np.ndarray,
-    simulator: Optional[LogicSimulator] = None,
+    simulator: Optional[CompiledSimulator] = None,
 ) -> Dict[str, Parity]:
     """Parity of ``fault`` at every primary output over a vector batch."""
-    sim = simulator or LogicSimulator(circuit)
+    sim = simulator or CompiledSimulator(circuit)
     good = sim.run(vectors)
     faulty = sim.run(vectors, [fault])
     profile: Dict[str, Parity] = {}

@@ -54,7 +54,7 @@ from ..circuit.netlist import CircuitError
 from ..circuit.structure import fanout_cone_gates
 from ..faults.model import Line, StuckAtFault
 from ..obs.core import Instrumentation, get_active
-from .compiled import CORE_PAD, CompiledSimulator, eval_core_group, lower_entry
+from .compiled import CompiledSimulator, eval_core_group, lower_entry, pack_group
 from .logicsim import SimResult, _eval_into
 from .vectors import pack_vectors, popcount_words, tail_mask, unpack_vectors
 
@@ -217,21 +217,6 @@ class BatchFaultSimulator:
         self._val_rows = np.asarray(
             [self.sim.index_of(o) for o in self.value_outputs], dtype=np.intp
         )
-        # schedule entries keyed by the driven signal (the compiled
-        # schedule is in topological_order(), one entry per gate)
-        self._entry_of: Dict[str, Tuple] = {
-            name: entry
-            for name, entry in zip(circuit.topological_order(), self.sim._schedule)
-        }
-        self._topo_pos = {n: i for i, n in enumerate(circuit.topological_order())}
-        # topological level per signal: gates of one level are mutually
-        # independent, which licenses the grouped evaluation in _ConePlan
-        self._level: Dict[str, int] = {s: 0 for s in circuit.inputs}
-        for name in circuit.topological_order():
-            g = circuit.gates[name]
-            self._level[name] = 1 + max(
-                (self._level[s] for s in g.inputs), default=0
-            )
         self._plan_cache: Dict[Tuple[str, str], _ConePlan] = {}
 
         wmax = max((abs(w) for w in self.weights), default=1)
@@ -340,17 +325,17 @@ class BatchFaultSimulator:
             self.obs.incr("batchsim.plan_cache_hits")
             return plan
         self.obs.incr("batchsim.plan_cache_misses")
+        # program rows follow topological order, so they sort the cone
+        topo_pos = self.sim.program.row_of
         if line.is_stem:
-            gates = fanout_cone_gates(self.circuit, line.signal, self._topo_pos)
+            gates = fanout_cone_gates(self.circuit, line.signal, topo_pos)
             rows = [self.sim.index_of(line.signal)]
             first = None
             grouped = gates
         else:
-            gates = (line.gate,) + fanout_cone_gates(
-                self.circuit, line.gate, self._topo_pos
-            )
+            gates = (line.gate,) + fanout_cone_gates(self.circuit, line.gate, topo_pos)
             rows = []
-            first = self._entry_of[line.gate]
+            first = self._group_entries(gates[:1])[0]
             grouped = gates[1:]
         rows.extend(self.sim.index_of(g) for g in gates)
         rowset = set(rows)
@@ -376,45 +361,32 @@ class BatchFaultSimulator:
         return plan
 
     def _group_entries(self, gates: Sequence[str]) -> Tuple[Tuple, ...]:
-        """Bucket cone gates into ``(level, core)`` replay groups.
+        """Bucket cone gates into the program's ``(level, core)`` groups.
 
         All same-level gates lowering to the same bitwise core merge
-        into one group padded to its maximum fan-in, emitted as a
-        4-tuple ``(core, out_rows, in_rows, inv)`` for
+        into one group packed by
+        :func:`repro.simulation.compiled.pack_group`, a 4-tuple
+        ``(core, out_rows, in_rows, inv)`` for
         :func:`repro.simulation.compiled.eval_core_group`.  A singleton
         bucket stays a scalar 3-tuple ``(gtype, out_row, in_rows)``
         (basic row slicing beats the gather/scatter machinery for one
         gate); ``_evaluate_one`` dispatches on tuple length.
         """
+        p = self.sim.program
         buckets: Dict[Tuple[int, int], List[Tuple]] = {}
         for g in gates:
-            gtype, out_idx, in_idx = self._entry_of[g]
-            core, invert, ins = lower_entry(gtype, in_idx)
-            buckets.setdefault((self._level[g], core), []).append(
-                (gtype, out_idx, in_idx, ins, invert)
+            # gate rows follow the input rows in schedule order
+            entry = p.schedule[p.row_of[g] - 2 - p.num_inputs]
+            core, invert, ins = lower_entry(entry[0], entry[2])
+            buckets.setdefault((p.level_of_row[entry[1]], core), []).append(
+                (entry, (entry[1], ins, invert))
             )
         groups: List[Tuple] = []
-        for lvl, core in sorted(buckets):
-            ents = buckets[(lvl, core)]
+        for (_lvl, core), ents in sorted(buckets.items()):
             if len(ents) == 1:
-                gtype, out_idx, in_idx, _ins, _inv = ents[0]
-                groups.append((gtype, out_idx, in_idx))
-                continue
-            arity = max(len(ins) for _g, _o, _i, ins, _v in ents)
-            pad = CORE_PAD[core]
-            out_rows = np.asarray([o for _g, o, _i, _ins, _v in ents], dtype=np.intp)
-            in_rows = np.empty((arity, len(ents)), dtype=np.intp)
-            for col, (_g, _o, _i, ins, _v) in enumerate(ents):
-                for j in range(arity):
-                    in_rows[j, col] = ins[j] if j < len(ins) else pad
-            if any(v for _g, _o, _i, _ins, v in ents):
-                inv = np.asarray(
-                    [[ALL_ONES if v else 0] for _g, _o, _i, _ins, v in ents],
-                    dtype=np.uint64,
-                )
+                groups.append(ents[0][0])
             else:
-                inv = None
-            groups.append((core, out_rows, in_rows, inv))
+                groups.append(pack_group(core, [lowered for _e, lowered in ents]))
         return tuple(groups)
 
     # ------------------------------------------------------------------

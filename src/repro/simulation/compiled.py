@@ -31,20 +31,22 @@ Programs are cached content-keyed by a netlist fingerprint
 (:func:`circuit_fingerprint`), so re-materialized but structurally
 identical netlists (e.g. the two FOM runs of ``fom="best"``) compile
 once.  :class:`CompiledSimulator` is a drop-in for
-:class:`LogicSimulator` (same ``run`` / ``run_packed`` / ``index_of`` /
-``_schedule`` surface, same :class:`SimResult`), and is bit-identical
-to it -- pinned by the golden equivalence suite in
+:class:`LogicSimulator` (same ``run`` / ``run_packed`` / ``index_of``
+surface, same :class:`SimResult`), and is bit-identical to it -- pinned
+by the golden equivalence suite in
 ``tests/simulation/test_engine_equivalence.py`` and the property tests
-in ``tests/simulation/test_compiled.py``.  It is the only simulator the
-greedy path runs; :class:`LogicSimulator` remains the reference oracle
-and the evaluator for small exhaustive analyses.
+in ``tests/simulation/test_compiled.py``.  The program is the one
+lowered form production code evaluates: every 2-valued simulation runs
+on it, and :class:`~repro.simulation.batchfaultsim.BatchFaultSimulator`
+builds its cone replays from its rows, schedule and levels.
+:class:`LogicSimulator` remains the reference oracle.
 """
 
 from __future__ import annotations
 
 import hashlib
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Tuple
+from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -108,6 +110,33 @@ def lower_entry(
         return CORE_OR, False, [ROW_ONE]
     core, invert = _LOWER[gtype]
     return core, invert, list(in_rows)
+
+
+def pack_group(
+    core: int, ents: Sequence[Tuple[int, Sequence[int], bool]]
+) -> Tuple[int, np.ndarray, np.ndarray, Optional[np.ndarray]]:
+    """Pack one level's gates of one core into an executable group.
+
+    ``ents`` holds ``(out_row, lowered_input_rows, invert)`` per gate;
+    the result is the ``(core, out_rows, in_rows, inv)`` tuple
+    :func:`eval_core_group` runs, with every gate padded to the group's
+    maximum fan-in by the core's identity row and ``inv`` ``None`` when
+    no gate inverts.
+    """
+    arity = max(len(ins) for _o, ins, _v in ents)
+    pad = CORE_PAD[core]
+    out_rows = np.asarray([o for o, _ins, _v in ents], dtype=np.intp)
+    in_rows = np.empty((arity, len(ents)), dtype=np.intp)
+    for col, (_o, ins, _v) in enumerate(ents):
+        for j in range(arity):
+            in_rows[j, col] = ins[j] if j < len(ins) else pad
+    if any(v for _o, _ins, v in ents):
+        inv = np.asarray(
+            [[ALL_ONES if v else 0] for _o, _ins, v in ents], dtype=np.uint64
+        )
+    else:
+        inv = None
+    return core, out_rows, in_rows, inv
 
 
 def eval_core_group(
@@ -243,8 +272,7 @@ def _build_program(circuit: Circuit) -> CompiledProgram:
     level: Dict[str, int] = {s: 0 for s in circuit.inputs}
     schedule: List[Tuple[GateType, int, Tuple[int, ...]]] = []
     # (level, core) -> [(out_row, lowered_input_rows, invert)]
-    buckets: "OrderedDict[Tuple[int, int], List[Tuple[int, List[int], bool]]]"
-    buckets = OrderedDict()
+    buckets: Dict[Tuple[int, int], List[Tuple[int, List[int], bool]]] = {}
     for name in order:
         g = circuit.gates[name]
         level[name] = 1 + max((level[s] for s in g.inputs), default=0)
@@ -255,38 +283,20 @@ def _build_program(circuit: Circuit) -> CompiledProgram:
             (row_of[name], ins, invert)
         )
 
-    level_groups: Dict[int, List[Tuple]] = {}
+    # Every level 1..depth holds a gate (a gate sits one level above
+    # its deepest input), so level L executes as index L - 1.
+    depth = max(level.values(), default=0)
+    level_groups: List[List[Tuple]] = [[] for _ in range(depth)]
     loc: Dict[int, Tuple[int, int, int]] = {}
     level_of_row: Dict[int, int] = {}
-    lvl_index = {
-        lvl: i for i, lvl in enumerate(sorted({k[0] for k in buckets}))
-    }
     for (lvl, core), ents in sorted(buckets.items()):
-        arity = max(len(ins) for _o, ins, _v in ents)
-        pad = CORE_PAD[core]
-        k = len(ents)
-        out_rows = np.asarray([o for o, _ins, _v in ents], dtype=np.intp)
-        in_rows = np.empty((arity, k), dtype=np.intp)
-        for col, (_o, ins, _v) in enumerate(ents):
-            for j in range(arity):
-                in_rows[j, col] = ins[j] if j < len(ins) else pad
-        if any(v for _o, _ins, v in ents):
-            inv = np.asarray(
-                [[ALL_ONES if v else 0] for _o, _ins, v in ents],
-                dtype=np.uint64,
-            )
-        else:
-            inv = None
-        li = lvl_index[lvl]
-        grp_idx = len(level_groups.setdefault(li, []))
-        level_groups[li].append((core, out_rows, in_rows, inv))
+        li = lvl - 1
+        grp_idx = len(level_groups[li])
+        level_groups[li].append(pack_group(core, ents))
         for col, (out_row, _ins, _v) in enumerate(ents):
             loc[out_row] = (li, grp_idx, col)
             level_of_row[out_row] = li
-
-    levels = tuple(
-        tuple(level_groups[li]) for li in range(len(lvl_index))
-    )
+    levels = tuple(tuple(groups) for groups in level_groups)
     return CompiledProgram(
         fingerprint="",  # filled by compile_program
         num_inputs=len(circuit.inputs),
@@ -389,9 +399,6 @@ class CompiledSimulator:
         self.program = (
             program if program is not None else compile_program(circuit, self.obs)
         )
-        # LogicSimulator-compatible surface (BatchFaultSimulator reads
-        # the schedule to build its cone plans).
-        self._schedule = self.program.schedule
         self.num_signals = len(self.program.row_of)
 
     def index_of(self, signal: str) -> int:

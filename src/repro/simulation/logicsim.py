@@ -10,9 +10,9 @@ injection follows the line semantics of :mod:`repro.faults.model`:
 * a **branch** fault substitutes the stuck value only on the one gate
   pin it names.
 
-This simulator is the workhorse behind ER estimation (differential
-good-vs-faulty simulation, Section IV.A of the paper) and behind the
-exhaustive ground-truth checks in the test-suite.
+This per-gate simulator is the reference oracle: production code runs
+the compiled kernel (:mod:`repro.simulation.compiled`), and the tests
+check that kernel and the exhaustive ground truth against this one.
 """
 
 from __future__ import annotations

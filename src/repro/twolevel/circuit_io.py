@@ -12,7 +12,7 @@ from __future__ import annotations
 from typing import Iterable, List, Optional, Set, Tuple
 
 from ..circuit import Circuit, CircuitBuilder
-from ..simulation.logicsim import LogicSimulator
+from ..simulation.compiled import CompiledSimulator
 from ..simulation.vectors import exhaustive_vectors
 from .quine import Cube, SopCover
 
@@ -63,6 +63,6 @@ def truth_table_of(circuit: Circuit, output: Optional[str] = None) -> Tuple[int,
     out = output or circuit.outputs[0]
     n = len(circuit.inputs)
     vecs = exhaustive_vectors(n)
-    values = LogicSimulator(circuit).run(vecs).values_for(out)
+    values = CompiledSimulator(circuit).run(vecs).values_for(out)
     on = {m for m in range(1 << n) if values[m]}
     return n, on

@@ -5,7 +5,12 @@ import pytest
 
 from repro.atpg import estimate_fault_er, generate_er_tests
 from repro.faults import StuckAtFault, enumerate_faults
-from repro.simulation import FaultSimulator, LogicSimulator, exhaustive_vectors
+from repro.simulation import (
+    FaultSimulator,
+    LogicSimulator,
+    exhaustive_vectors,
+    random_vectors,
+)
 
 
 def test_er_estimates_match_exhaustive(adder4):
@@ -62,3 +67,19 @@ def test_threshold_monotone_targets(adder4):
         ts = generate_er_tests(adder4, er_threshold=thr, num_candidates=512, seed=6)
         sizes.append(len(ts.targets))
     assert sizes[0] >= sizes[1] >= sizes[2]
+
+
+def test_er_ignores_padding_bits(adder4):
+    """At a vector count that is not a multiple of 64, every fault's ER
+    matches the differential simulator's (padding bits are not
+    detections)."""
+    n = 100
+    vecs = random_vectors(len(adder4.inputs), n, np.random.default_rng(0))
+    fsim = FaultSimulator(adder4)
+    est = estimate_fault_er(adder4, num_vectors=n, seed=0)
+    ts = generate_er_tests(adder4, er_threshold=0.0, num_candidates=n, seed=0,
+                           collapse=False)
+    for f in enumerate_faults(adder4):
+        truth = fsim.differential(vecs, [f]).error_rate
+        assert est[f] == truth, f
+        assert ts.fault_er[f] == truth, f

@@ -1,7 +1,15 @@
 """The ISCAS85-like Table II suite: structure and profile checks."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import repro
 
 from repro.benchlib import ISCAS85_SUITE, control_pla, random_circuit
 from repro.circuit import CircuitBuilder
@@ -116,3 +124,24 @@ def test_random_circuit_reproducible():
     b = random_circuit(5, 20, np.random.default_rng(4))
     assert list(a.gates) == list(b.gates)
     assert a.outputs == b.outputs
+
+
+_FINGERPRINTS = """
+import json
+from repro.benchlib import ISCAS85_SUITE
+from repro.simulation import circuit_fingerprint
+print(json.dumps({k: circuit_fingerprint(p.builder()) for k, p in ISCAS85_SUITE.items()}))
+"""
+
+
+def test_suite_netlists_independent_of_hash_seed():
+    """Gate names and order do not depend on string hashing."""
+    src = str(Path(repro.__file__).resolve().parents[1])
+
+    def fingerprints(seed):
+        env = dict(os.environ, PYTHONHASHSEED=seed, PYTHONPATH=src)
+        out = subprocess.run([sys.executable, "-c", _FINGERPRINTS], env=env,
+                             capture_output=True, text=True, check=True)
+        return json.loads(out.stdout)
+
+    assert fingerprints("1") == fingerprints("2")
