@@ -302,13 +302,14 @@ class MetricsEstimator:
         circuit's good outputs, but its propagation replays only the
         fault's fanout cone on top of the (cached) fault-free baseline
         of ``approx``.  Results are bit-identical to :meth:`simulate`;
-        with ``rs_drop_threshold`` set, faults whose running
+        with ``rs_drop_threshold`` set, faults whose prefix
         ``ER * max|deviation|`` lower bound already exceeds the
-        threshold are dropped early (``stats.dropped``), which is sound
-        for candidate *rejection* but leaves their stats as lower
-        bounds.  Only single-fault candidates are supported -- ER does
-        not compose across interacting faults, so multi-fault sets must
-        go through :meth:`simulate`.
+        threshold are dropped (``stats.dropped``), which is sound for
+        candidate *rejection*; their stats are lower bounds over the
+        ``stats.words_simulated`` words the statistics cover.  Only
+        single-fault candidates are supported -- ER does not compose
+        across interacting faults, so multi-fault sets must go through
+        :meth:`simulate`.
         """
         target = approx if approx is not None else self.circuit
         bsim = self._batch_simulator_for(target)

@@ -19,12 +19,16 @@ waste:
   reference machine -- every other output is known to still match the
   baseline -- and only cone value-outputs enter the weighted-deviation
   update;
-* a fault can be **dropped** early: with ``rs_drop_threshold`` set, the
-  vector words are processed in chunks, and once the running
-  detection-count/deviation lower bounds already prove
-  ``ER * ES > threshold`` the remaining words are skipped (the fault is
+* each cone replays **once over the full batch width**; detection and
+  the weighted deviation then come from a few whole-batch array passes;
+* a fault can be **dropped**: with ``rs_drop_threshold`` set, the words
+  form ``chunk_words``-sized chunks, and the fault is dropped at the
+  first chunk boundary where the prefix detection count and deviation
+  maximum already prove ``ER * ES > threshold`` (the fault is
   disqualified for ranking purposes no matter how the rest of the batch
-  turns out).
+  turns out).  The rule is replayed on per-chunk totals after the
+  pass; as both prefixes only grow, a fault whose full-batch ``ER * ES``
+  is within the threshold is never dropped and needs no replay.
 
 The reference machine defaults to the simulated circuit's own baseline
 (classical single-fault differential simulation).  The greedy loop
@@ -56,9 +60,11 @@ from ..faults.model import Line, StuckAtFault
 from ..obs.core import Instrumentation, get_active
 from .compiled import CompiledSimulator, eval_core_group, lower_entry, pack_group
 from .logicsim import SimResult, _eval_into
-from .vectors import pack_vectors, popcount_words, tail_mask, unpack_vectors
+from .vectors import pack_vectors, tail_mask, unpack_vectors, word_popcounts
 
 __all__ = ["FaultBatchStats", "BatchFaultSimulator"]
+
+_ALL_WORDS = slice(None)
 
 
 @dataclass
@@ -68,9 +74,11 @@ class FaultBatchStats:
     Exposes the same ranking statistics as
     :class:`~repro.simulation.faultsim.DifferentialResult`
     (``error_rate`` / ``max_abs_deviation`` / ``mean_abs_deviation``).
-    When the fault was dropped early, the statistics are lower bounds
-    over the ``words_simulated`` first words -- already sufficient to
-    disqualify the fault against the drop threshold.
+    ``words_simulated`` is the number of leading vector words the
+    statistics cover: the whole batch, or for a dropped fault the prefix
+    at whose end the drop fired.  A dropped fault's statistics are
+    therefore lower bounds -- already sufficient to disqualify it
+    against the drop threshold.
     """
 
     fault: StuckAtFault
@@ -236,7 +244,8 @@ class BatchFaultSimulator:
         self._ref_val_bits: Optional[np.ndarray] = None
         self._base_delta: Optional[np.ndarray] = None
         self._base_dev: Optional[np.ndarray] = None
-        self._base_dev_zero = False
+        self._base_abs: Optional[np.ndarray] = None
+        self._outside_detect: Dict[frozenset, np.ndarray] = {}
 
     # ------------------------------------------------------------------
     # batch binding
@@ -291,6 +300,7 @@ class BatchFaultSimulator:
         self._dirty = tuple(
             int(p) for p in np.nonzero(self._base_diff.any(axis=1))[0]
         )
+        self._outside_detect = {}
 
         m = len(self.value_outputs)
         if m:
@@ -309,10 +319,10 @@ class BatchFaultSimulator:
         self._base_delta = host_bits - ref_bits
         if self._float_ok:
             self._base_dev = self._base_delta.astype(np.float64) @ self._wvec
-            self._base_dev_zero = not self._base_dev.any()
+            self._base_abs = np.abs(self._base_dev)
         else:
             self._base_dev = None
-            self._base_dev_zero = False
+            self._base_abs = None
         return good
 
     # ------------------------------------------------------------------
@@ -403,9 +413,10 @@ class BatchFaultSimulator:
         """Evaluate many single-fault candidates against the loaded batch.
 
         Each fault is simulated independently (single-fault semantics).
-        With ``rs_drop_threshold`` set, words are processed in chunks
-        and a fault is dropped as soon as its running lower bound on
-        ``ER * max|deviation|`` exceeds the threshold.  ``detailed``
+        With ``rs_drop_threshold`` set, a fault is dropped at the first
+        ``chunk_words`` boundary where its prefix lower bound on
+        ``ER * max|deviation|`` exceeds the threshold, and its stats
+        cover only that prefix.  ``detailed``
         additionally materializes the per-vector ``detected`` array and
         ``deviations`` list (as :class:`DifferentialResult` holds them);
         it is intended for cross-validation tests, not for the hot path.
@@ -449,159 +460,139 @@ class BatchFaultSimulator:
             override = (self.sim.index_of(line.gate), line.pin)
         plan = self._plan_for_line(line)
         word = ALL_ONES if fault.value else np.uint64(0)
-        other_diff = [p for p in self._dirty if p not in plan.obs_set]
+        work, n, w = self._work, self._n, self._w
 
-        work, base, tail, ref = self._work, self._base, self._tail, self._ref_out
-        n = self._n
-        detected_count = 0
-        max_dev = 0
-        sum_dev = 0
-        words_done = 0
-        det_chunks: List[np.ndarray] = []
-        dev_chunks: List[List[int]] = []
+        # one full-width pass over the cone
+        if forced_row is not None:
+            work[forced_row] = word
+        if plan.first is not None:
+            gtype, out_idx, in_idx = plan.first
+            operands = [
+                np.full(w, word, dtype=np.uint64) if pin == override[1] else work[idx]
+                for pin, idx in enumerate(in_idx)
+            ]
+            _eval_into(gtype, operands, work[out_idx], w)
+        for entry in plan.groups:
+            if len(entry) == 4:  # padded core group
+                eval_core_group(entry[0], entry[1], entry[2], entry[3], work, _ALL_WORDS)
+                continue
+            gtype, out_idx, in_idx = entry
+            _eval_into(gtype, [work[idx] for idx in in_idx], work[out_idx], w)
 
-        lo = 0
-        while lo < self._w:
-            hi = min(self._w, lo + chunk_words)
-            sl = slice(lo, hi)
-            wlen = hi - lo
-            if forced_row is not None:
-                work[forced_row, sl] = word
-            if plan.first is not None:
-                gtype, out_idx, in_idx = plan.first
-                operands = [
-                    np.full(wlen, word, dtype=np.uint64)
-                    if pin == override[1]
-                    else work[idx, sl]
-                    for pin, idx in enumerate(in_idx)
-                ]
-                _eval_into(gtype, operands, work[out_idx, sl], wlen)
-            for entry in plan.groups:
-                if len(entry) == 4:  # padded core group
-                    eval_core_group(entry[0], entry[1], entry[2], entry[3], work, sl)
-                    continue
-                gtype, out_idx, in_idx = entry
-                operands = [work[idx, sl] for idx in in_idx]
-                _eval_into(gtype, operands, work[out_idx, sl], wlen)
+        detect = self._outside_cone_detect(plan)
+        if plan.obs_pos.size:
+            d = self._ref_out[plan.obs_pos] ^ work[plan.obs_rows]
+            detect = (np.bitwise_or.reduce(d, axis=0) & self._tail) | detect
+        counts = word_popcounts(detect)
 
-            if plan.obs_pos.size:
-                d = ref[plan.obs_pos, sl] ^ work[plan.obs_rows, sl]
-                detect: Optional[np.ndarray] = np.bitwise_or.reduce(d, axis=0)
-            else:
-                detect = None
-            for p in other_diff:
-                d = self._base_diff[p, sl]
-                detect = d.copy() if detect is None else (detect | d)
-            if detect is None:
-                detect = np.zeros(wlen, dtype=np.uint64)
-            else:
-                detect &= tail[sl]
-            detected_count += popcount_words(detect)
-
-            r0, r1 = lo * 64, min(n, hi * 64)
-            chunk_max, chunk_sum, dev_list = self._chunk_deviation(
-                plan, sl, r0, r1, detailed
-            )
-            if chunk_max > max_dev:
-                max_dev = chunk_max
-            sum_dev += chunk_sum
-            if detailed:
-                det_chunks.append(unpack_vectors(detect[None, :], r1 - r0)[:, 0])
-                dev_chunks.append(dev_list)
-
-            words_done = hi
-            lo = hi
-            if (
-                rs_drop_threshold is not None
-                and (detected_count / n) * max_dev > rs_drop_threshold
-            ):
-                break
+        # The drop rule reads prefix sums: detection counts and deviation
+        # maxima only grow with more words, so a fault whose full-batch
+        # ER * max|deviation| is within the threshold was never dropped
+        # and needs no replay.  Otherwise the chunk totals are walked in
+        # order up to the chunk boundary where the drop fires.
+        dev: Sequence = []
+        replay = rs_drop_threshold is not None and n > 0
+        if self._float_ok:
+            dev, abs_dev = self._float_deviation(plan)
+            detected_count = int(counts.sum())
+            max_dev = int(abs_dev.max()) if n else 0
+            replay = replay and (detected_count / n) * max_dev > rs_drop_threshold
+        if self._float_ok and not replay:
+            sum_dev, words_done = int(abs_dev.sum()), w
+        else:
+            step = chunk_words if replay else max(1, w)
+            detected_count = max_dev = sum_dev = words_done = 0
+            for lo in range(0, w, step):
+                hi = min(w, lo + step)
+                r0, r1 = lo * 64, min(n, hi * 64)
+                if self._float_ok:
+                    chunk = abs_dev[r0:r1]
+                    chunk_max, chunk_sum = int(chunk.max()), int(chunk.sum())
+                else:
+                    # big weights: exact deviations, computed chunk by
+                    # chunk so a dropped fault pays only for its prefix
+                    vals = self._exact_deviations(plan, r0, r1)
+                    dev.extend(vals)
+                    mags = [abs(v) for v in vals]
+                    chunk_max, chunk_sum = max(mags), sum(mags)
+                detected_count += int(counts[lo:hi].sum())
+                if chunk_max > max_dev:
+                    max_dev = chunk_max
+                sum_dev += chunk_sum
+                words_done = hi
+                if replay and (detected_count / n) * max_dev > rs_drop_threshold:
+                    break
 
         # restore the disturbed rows so the work array equals the
         # baseline again for the next fault
-        work[plan.rows] = base[plan.rows]
+        work[plan.rows] = self._base[plan.rows]
 
+        # words_simulated counts the words the statistics cover
         self.obs.incr("batchsim.words_simulated", words_done)
-        if words_done < self._w:
+        if words_done < w:
             self.obs.incr("batchsim.faults_dropped")
-            self.obs.incr("batchsim.words_skipped", self._w - words_done)
+            self.obs.incr("batchsim.words_skipped", w - words_done)
 
+        rows_done = min(n, words_done * 64)
         return FaultBatchStats(
             fault=fault,
             num_vectors=n,
             detected_count=detected_count,
             max_abs_deviation=max_dev,
             sum_abs_deviation=sum_dev,
-            dropped=words_done < self._w,
+            dropped=words_done < w,
             words_simulated=words_done,
-            detected=np.concatenate(det_chunks) if detailed else None,
-            deviations=[d for chunk in dev_chunks for d in chunk] if detailed else None,
+            detected=(
+                unpack_vectors(detect[None, :words_done], rows_done)[:, 0]
+                if detailed
+                else None
+            ),
+            deviations=[int(v) for v in dev[:rows_done]] if detailed else None,
         )
 
-    def _chunk_deviation(
-        self,
-        plan: _ConePlan,
-        sl: slice,
-        r0: int,
-        r1: int,
-        detailed: bool,
-    ) -> Tuple[int, int, List[int]]:
-        """Max/sum of absolute weighted deviations on one word chunk.
+    def _outside_cone_detect(self, plan: _ConePlan) -> np.ndarray:
+        """Detection words from the observe outputs outside the cone.
 
-        The per-vector deviation is the baseline's deviation against the
-        reference, corrected on the cone value-outputs only.
+        Those outputs keep their baseline values, so they contribute the
+        OR of their baseline-vs-reference diffs -- the same words for
+        every plan reaching the same cone outputs, cached per batch.
         """
-        nrows = r1 - r0
-        if nrows <= 0:
-            return 0, 0, []
-        if not self._float_ok:
-            return self._chunk_deviation_exact(plan, sl, r0, r1, detailed)
-        if plan.val_idx.size == 0:
-            if self._base_dev_zero:
-                return 0, 0, [0] * nrows if detailed else []
-            dev = self._base_dev[r0:r1]
-        else:
-            new_bits = unpack_vectors(self._work[plan.val_rows, sl], nrows).astype(
-                np.int8
-            )
-            delta_new = new_bits - self._ref_val_bits[r0:r1][:, plan.val_idx]
-            adj = (
-                delta_new - self._base_delta[r0:r1][:, plan.val_idx]
-            ).astype(np.float64) @ self._wvec[plan.val_idx]
-            dev = self._base_dev[r0:r1] + adj
-        abs_dev = np.abs(dev)
-        chunk_max = int(abs_dev.max()) if abs_dev.size else 0
-        chunk_sum = int(abs_dev.sum())
-        dev_list = [int(v) for v in dev] if detailed else []
-        return chunk_max, chunk_sum, dev_list
+        other = self._outside_detect.get(plan.obs_set)
+        if other is None:
+            rows = [p for p in self._dirty if p not in plan.obs_set]
+            other = np.bitwise_or.reduce(self._base_diff[rows], axis=0)
+            self._outside_detect[plan.obs_set] = other
+        return other
 
-    def _chunk_deviation_exact(
-        self,
-        plan: _ConePlan,
-        sl: slice,
-        r0: int,
-        r1: int,
-        detailed: bool,
-    ) -> Tuple[int, int, List[int]]:
-        """Arbitrary-precision fallback for weights beyond float64 range."""
-        nrows = r1 - r0
+    def _float_deviation(self, plan: _ConePlan) -> Tuple[np.ndarray, np.ndarray]:
+        """Signed and absolute weighted deviation of every batch vector:
+        the baseline's deviation against the reference, corrected by the
+        cone value-outputs' change from their baseline values."""
+        if plan.val_rows.size == 0:
+            return self._base_dev, self._base_abs
+        new, old = self._work[plan.val_rows], self._base[plan.val_rows]
+        if not (new != old).any():
+            return self._base_dev, self._base_abs
+        # one row per cone value-output: +1 / -1 where its bit rose / fell
+        change = unpack_vectors(new, self._n).T.view(np.int8)
+        change -= unpack_vectors(old, self._n).T.view(np.int8)
+        dev = self._wvec[plan.val_idx] @ change.astype(np.float64)
+        dev += self._base_dev
+        return dev, np.abs(dev)
+
+    def _exact_deviations(self, plan: _ConePlan, r0: int, r1: int) -> List[int]:
+        """Arbitrary-precision deviations of vectors ``r0:r1``, for
+        weights beyond float64's exact-integer range."""
         delta = self._base_delta[r0:r1].copy()
         if plan.val_idx.size:
-            new_bits = unpack_vectors(self._work[plan.val_rows, sl], nrows).astype(
+            sl = slice(r0 // 64, -(-r1 // 64))
+            new_bits = unpack_vectors(self._work[plan.val_rows, sl], r1 - r0).astype(
                 np.int8
             )
             delta[:, plan.val_idx] = (
                 new_bits - self._ref_val_bits[r0:r1][:, plan.val_idx]
             )
-        chunk_max = 0
-        chunk_sum = 0
-        dev_list: List[int] = []
-        for row in delta:
-            v = int(sum(w * int(d) for w, d in zip(self.weights, row) if d))
-            a = abs(v)
-            if a > chunk_max:
-                chunk_max = a
-            chunk_sum += a
-            if detailed:
-                dev_list.append(v)
-        return chunk_max, chunk_sum, dev_list
+        return [
+            int(sum(w * int(d) for w, d in zip(self.weights, row) if d))
+            for row in delta
+        ]

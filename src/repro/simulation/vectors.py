@@ -20,6 +20,7 @@ __all__ = [
     "pack_vectors",
     "unpack_vectors",
     "popcount_words",
+    "word_popcounts",
     "random_vectors",
     "exhaustive_vectors",
     "vectors_from_ints",
@@ -66,25 +67,31 @@ def pack_vectors(vectors: np.ndarray) -> np.ndarray:
 
 def unpack_vectors(words: np.ndarray, num_vectors: int) -> np.ndarray:
     """Inverse of :func:`pack_vectors`: returns bool matrix (N, n)."""
-    words = np.asarray(words, dtype=np.uint64)
+    # read words as little-endian bytes: bit k of word w unpacks to vector 64*w + k
+    words = np.ascontiguousarray(words, dtype="<u8")
     if words.ndim == 1:
         words = words[None, :]
-    n_sig, w = words.shape
-    shifts = np.arange(64, dtype=np.uint64)
-    bits = (words[:, :, None] >> shifts[None, None, :]) & np.uint64(1)
-    flat = bits.reshape(n_sig, w * 64).astype(bool)
-    return flat[:, :num_vectors].T
+    bits = np.unpackbits(
+        words.view(np.uint8), axis=1, count=num_vectors, bitorder="little"
+    )
+    return bits.view(bool).T
 
 
 _POPCOUNT8 = np.array([bin(v).count("1") for v in range(256)], dtype=np.uint64)
 
 
-def popcount_words(words: np.ndarray) -> int:
-    """Total number of set bits across an array of packed words."""
+def word_popcounts(words: np.ndarray) -> np.ndarray:
+    """Number of set bits in each packed word (same shape as ``words``)."""
     words = np.ascontiguousarray(words, dtype=np.uint64)
     if hasattr(np, "bitwise_count"):
-        return int(np.bitwise_count(words).sum())
-    return int(_POPCOUNT8[words.view(np.uint8)].sum())
+        return np.bitwise_count(words)
+    # numpy < 2.0: sum the byte-table counts of each word's 8 bytes
+    return _POPCOUNT8[words.view(np.uint8)].reshape(words.shape + (8,)).sum(axis=-1)
+
+
+def popcount_words(words: np.ndarray) -> int:
+    """Total number of set bits across an array of packed words."""
+    return int(word_popcounts(words).sum())
 
 
 def random_vectors(

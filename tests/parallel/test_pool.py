@@ -17,7 +17,7 @@ from repro.faults import datapath_faults
 from repro.metrics import MetricsEstimator
 from repro.obs import Instrumentation
 from repro.parallel import ScoringPool, resolve_workers
-from repro.parallel.pool import WORKERS_ENV
+from repro.parallel.pool import WORKERS_ENV, _score_shard
 from tests.conftest import build_ripple_adder
 
 
@@ -214,9 +214,20 @@ def test_c1908_parallel_run_identical():
     assert dumps_bench(par.simplified) == dumps_bench(serial.simplified)
 
 
-def test_worker_trace_buffers_merge_into_coordinator(estimator, shortlist):
+_SHARD_BARRIER = None
+
+
+def _score_shard_in_lockstep(*args):
+    """``_score_shard`` that first waits for the other worker, so each of
+    the two workers must take one shard (fork-inherited barrier)."""
+    _SHARD_BARRIER.wait(timeout=60)
+    return _score_shard(*args)
+
+
+def test_worker_trace_buffers_merge_into_coordinator(estimator, shortlist, monkeypatch):
     """With a tracer attached, shard scoring ships worker span events
     back and the merged trace shows distinct worker pid lanes."""
+    import multiprocessing as mp
     import os
 
     from repro.obs import TraceRecorder, to_chrome_trace
@@ -224,7 +235,10 @@ def test_worker_trace_buffers_merge_into_coordinator(estimator, shortlist):
     obs = Instrumentation()
     obs.tracer = TraceRecorder()
     serial = estimator.simulate_faults(shortlist)
-    with ScoringPool(estimator, 2, obs=obs) as pool:
+    # Without the barrier the executor may hand both shards to one worker.
+    monkeypatch.setattr(f"{__name__}._SHARD_BARRIER", mp.get_context("fork").Barrier(2))
+    monkeypatch.setattr("repro.parallel.pool._score_shard", _score_shard_in_lockstep)
+    with ScoringPool(estimator, 2, obs=obs, start_method="fork") as pool:
         merged = pool.simulate_faults(shortlist)
     assert _rows(merged) == _rows(serial)  # tracing never perturbs stats
     counters = obs.snapshot()["counters"]

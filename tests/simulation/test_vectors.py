@@ -9,6 +9,7 @@ from repro.simulation import (
     ints_from_vectors,
     num_words,
     pack_vectors,
+    popcount_words,
     random_vectors,
     tail_mask,
     unpack_vectors,
@@ -42,6 +43,7 @@ def test_pack_unpack_roundtrip(n_vec, n_sig, seed):
     packed = pack_vectors(vecs)
     assert packed.shape == (n_sig, num_words(n_vec))
     back = unpack_vectors(packed, n_vec)
+    assert back.dtype == bool
     assert (back == vecs).all()
 
 
@@ -52,6 +54,29 @@ def test_pack_bit_order():
     packed = pack_vectors(vecs)
     assert int(packed[0, 0]) == 1  # vector 0 -> bit 0 of word 0
     assert int(packed[0, 1]) == 1  # vector 64 -> bit 0 of word 1
+
+
+@pytest.mark.parametrize("native", [True, False])
+def test_word_popcounts_both_branches(monkeypatch, native):
+    """The ``np.bitwise_count`` branch and the byte-table fallback (numpy
+    < 2.0) count the same bits, word by word, in any array shape."""
+    from repro.simulation.vectors import word_popcounts
+
+    if not native:
+        monkeypatch.delattr(np, "bitwise_count", raising=False)
+    elif not hasattr(np, "bitwise_count"):
+        pytest.skip("this numpy has no bitwise_count")
+    rng = np.random.default_rng(4)
+    words = rng.integers(0, 2**63, size=(3, 5), dtype=np.uint64) * np.uint64(2)
+    words[0, 0] = 0
+    words[1, 1] = np.uint64(0xFFFFFFFFFFFFFFFF)
+    words[2, 2] |= np.uint64(1)
+    expected = [[bin(int(x)).count("1") for x in row] for row in words]
+    counts = word_popcounts(words)
+    assert counts.shape == words.shape
+    assert counts.tolist() == expected
+    assert word_popcounts(words[1]).tolist() == expected[1]
+    assert popcount_words(words) == sum(map(sum, expected))
 
 
 def test_pack_shape_validation():
